@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 
 from .config import load_config, validate_config
 from .errors import RagLoopError
@@ -100,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "baseline":
             runner = ExperimentRunner(config)
             artifacts = runner.run_baseline()
-            print(json.dumps(artifacts.metrics.to_dict(), indent=2,
+            print(json.dumps(asdict(artifacts.metrics), indent=2,
                              sort_keys=True))
             return 0
         # run and resume share one code path: completed phases are loaded

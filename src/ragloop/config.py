@@ -9,22 +9,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigValidationError, CorpusFormatError
 from .filters import MarkerStubDetector, RemoteDetectorClient
-from .generation import (DEFAULT_STYLE_MARKER, DEFAULT_TEMPERATURE,
-                         RemoteChatGenerator, SyntheticGenerator)
+from .generation import (CONTEXT_SIZE, DEFAULT_STYLE_MARKER,
+                         DEFAULT_TEMPERATURE, RemoteChatGenerator,
+                         SyntheticGenerator)
 from .rerank import (FAILURE_ABORT, FAILURE_PASS_THROUGH,
                      LexicalOverlapBackend, RemoteScorerBackend)
 from .retrieval import HashedEmbedder, RemoteEmbeddingClient
 
 PIPELINES = ("bm25", "dense", "bm25+rerank", "dense+rerank")
 FILTER_MODES = ("none", "source", "diversity")
-CONTEXT_SIZE = 5
 
 DEFAULT_SAMPLE_SIZE = 200
 DEFAULT_ITERATIONS = 10
@@ -103,7 +103,6 @@ class ExperimentConfig:
     pipeline: str = "bm25"
     sample_size: int = DEFAULT_SAMPLE_SIZE
     iterations: int = DEFAULT_ITERATIONS
-    context_size: int = CONTEXT_SIZE
     retrieval_depth: int = DEFAULT_RETRIEVAL_DEPTH
     rerank_depth: int = DEFAULT_RERANK_DEPTH
     rerank_failure_policy: str = FAILURE_ABORT
@@ -160,51 +159,16 @@ class ExperimentConfig:
         """Hash over result-defining fields; execution-only knobs and the
         output location are excluded so a resumed run and a fresh reference
         run compare equal."""
-        payload = {k: v for k, v in self.to_dict().items()
+        payload = {k: v for k, v in asdict(self).items()
                    if k not in self._EXECUTION_ONLY}
+        payload["schedule"] = [{"iterations": f"{s.first}-{s.last}",
+                                "generators": s.generators}
+                               for s in self.schedule]
+        # context size was a config key; keeping it in the hash lets run
+        # directories written while it was one still resume
+        payload["context_size"] = CONTEXT_SIZE
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def to_dict(self) -> dict:
-        d = {
-            "seed_corpus": self.seed_corpus,
-            "query_set": self.query_set,
-            "output_dir": self.output_dir,
-            "pipeline": self.pipeline,
-            "sample_size": self.sample_size,
-            "iterations": self.iterations,
-            "context_size": self.context_size,
-            "retrieval_depth": self.retrieval_depth,
-            "rerank_depth": self.rerank_depth,
-            "rerank_failure_policy": self.rerank_failure_policy,
-            "generators": [vars(g).copy() for g in self.generators],
-            "schedule": [{"iterations": f"{s.first}-{s.last}",
-                          "generators": list(s.generators)} for s in self.schedule],
-            "temperature": self.temperature,
-            "filter_mode": self.filter_mode,
-            "diversity_threshold": self.diversity_threshold,
-            "phrase_file": self.phrase_file,
-            "misinfo": self.misinfo,
-            "grade_with_judge": self.grade_with_judge,
-            "seed": self.seed,
-            "offline": self.offline,
-            "max_in_flight": self.max_in_flight,
-            "max_failure_fraction": self.max_failure_fraction,
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "backoff": self.backoff,
-            "embedding_endpoint": self.embedding_endpoint,
-            "embedding_model": self.embedding_model,
-            "embedding_api_key_env": self.embedding_api_key_env,
-            "rerank_endpoint": self.rerank_endpoint,
-            "rerank_model": self.rerank_model,
-            "rerank_api_key_env": self.rerank_api_key_env,
-            "detector_endpoint": self.detector_endpoint,
-            "detector_model": self.detector_model,
-            "detector_api_key_env": self.detector_api_key_env,
-            "judge_generator": self.judge_generator,
-        }
-        return d
 
     # ---- backend construction -------------------------------------------
 
@@ -326,11 +290,9 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         problems.append("iterations must be >= 1")
     if config.sample_size < 1:
         problems.append("sample_size must be >= 1")
-    if config.context_size != CONTEXT_SIZE:
-        problems.append(f"context_size is fixed at {CONTEXT_SIZE}")
     if config.rerank_depth < 1:
         problems.append("rerank_depth must be >= 1")
-    if config.retrieval_depth < config.context_size:
+    if config.retrieval_depth < CONTEXT_SIZE:
         problems.append("retrieval_depth must cover the context size")
     if config.rerank_failure_policy not in (FAILURE_ABORT, FAILURE_PASS_THROUGH):
         problems.append(f"rerank_failure_policy must be {FAILURE_ABORT!r} or "

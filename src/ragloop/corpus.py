@@ -156,13 +156,6 @@ class CorpusSnapshot:
         for i in range(self._size):
             yield self._store.docs[i]
 
-    def documents_added_since(self, other_size: int) -> list[Document]:
-        return self._store.docs[other_size:self._size]
-
-    @property
-    def max_iteration(self) -> int:
-        return max((d.iteration_added for d in self.iter_documents()), default=0)
-
     def counts_by_source(self) -> dict[str, int]:
         return dict(self._counts)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .corpus import CorpusSnapshot
 from .errors import RemoteServiceError
-from .generation import DEFAULT_STYLE_MARKER
+from .generation import CONTEXT_SIZE, DEFAULT_STYLE_MARKER
 from .metrics import self_bleu
 from .remote import post_json_with_retries
 from .retrieval import RankEntry, RankedList
@@ -20,7 +20,6 @@ from .retrieval import RankEntry, RankedList
 logger = logging.getLogger(__name__)
 
 DIVERSITY_THRESHOLD = 0.4
-CONTEXT_WINDOW = 5
 
 
 class MarkerStubDetector:
@@ -45,14 +44,13 @@ class RemoteDetectorClient:
 
     def __init__(self, endpoint: str, model: str = "", timeout: float = 30.0,
                  retries: int = 3, backoff: float = 1.0,
-                 api_key: str | None = None, threshold: float = 0.5):
+                 api_key: str | None = None):
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.api_key = api_key
-        self.threshold = threshold
 
     def classify(self, texts: list[str]) -> list[bool]:
         payload: dict = {"texts": list(texts)}
@@ -70,7 +68,7 @@ class RemoteDetectorClient:
             label = str(row.get("label", "")).lower()
             score = float(row.get("score", 1.0))
             p_generated = score if label == "generated" else 1.0 - score
-            labels.append(p_generated >= self.threshold)
+            labels.append(p_generated >= 0.5)
         return labels
 
 
@@ -93,7 +91,7 @@ class FilterResult:
 
 
 def source_filter(candidates: RankedList, detector,
-                  corpus: CorpusSnapshot, want: int = CONTEXT_WINDOW) -> FilterResult:
+                  corpus: CorpusSnapshot, want: int = CONTEXT_SIZE) -> FilterResult:
     """Scan candidates in rank order and keep the first `want` documents the
     detector labels human.
 
@@ -128,7 +126,7 @@ def _set_self_bleu(entries: list[RankEntry], texts: dict[str, str]) -> float:
 
 def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
                      threshold: float = DIVERSITY_THRESHOLD,
-                     window: int = CONTEXT_WINDOW) -> FilterResult:
+                     window: int = CONTEXT_SIZE) -> FilterResult:
     """Greedy self-similarity reduction over the top-`window` candidates.
 
     While the working set scores above the threshold and unused candidates

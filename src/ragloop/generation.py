@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailure, RemoteServiceError
-from .metrics import em, normalize_answer
+from .metrics import em
 from .remote import post_json_with_retries
 from .retrieval import tokenize
 
@@ -26,10 +26,13 @@ MIS_ANSWER = "mis_answer"
 MIS_PASSAGE = "mis_passage"
 ANSWER_CHECK = "answer_check"
 
-NUM_CONTEXTS = 5
+# the with-contexts template has exactly this many context slots
+CONTEXT_SIZE = 5
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_STYLE_MARKER = "synthweave"
 FALSE_ANSWER_COUNT = 5
+# leading tokens of the first context that a synthetic answer repeats
+CONTEXT_ECHO_TOKENS = 12
 
 _SEPARATOR = "-" * 21
 
@@ -97,9 +100,9 @@ def build_prompt(kind: str, query: str, contexts: list[str] | None = None,
     if kind == ZERO_SHOT:
         return _ZERO_SHOT_TEMPLATE.format(question=query)
     if kind == WITH_CONTEXTS:
-        if contexts is None or len(contexts) != NUM_CONTEXTS:
+        if contexts is None or len(contexts) != CONTEXT_SIZE:
             got = 0 if contexts is None else len(contexts)
-            raise ValueError(f"expected {NUM_CONTEXTS} contexts, got {got}")
+            raise ValueError(f"expected {CONTEXT_SIZE} contexts, got {got}")
         return _WITH_CONTEXTS_TEMPLATE.format(
             question=query, context1=contexts[0], context2=contexts[1],
             context3=contexts[2], context4=contexts[3], context5=contexts[4])
@@ -159,27 +162,6 @@ class GenerationRecord:
     em_false: int | None = None
     em_llm_false: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "iteration": self.iteration,
-            "generator_name": self.generator_name,
-            "raw_text": self.raw_text,
-            "cleaned_text": self.cleaned_text,
-            "em": self.em,
-            "em_llm": self.em_llm,
-            "em_false": self.em_false,
-            "em_llm_false": self.em_llm_false,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenerationRecord":
-        return cls(query_id=d["query_id"], iteration=int(d["iteration"]),
-                   generator_name=d["generator_name"], raw_text=d["raw_text"],
-                   cleaned_text=d["cleaned_text"], em=int(d.get("em", 0)),
-                   em_llm=d.get("em_llm"), em_false=d.get("em_false"),
-                   em_llm_false=d.get("em_llm_false"))
-
 
 @dataclass
 class MisinfoSpec:
@@ -194,16 +176,6 @@ class MisinfoSpec:
             raise ValueError(f"expected {FALSE_ANSWER_COUNT} false answers")
         if self.chosen_false_answer not in self.false_answers:
             raise ValueError("chosen false answer must be one of the candidates")
-
-    def to_dict(self) -> dict:
-        return {"query_id": self.query_id, "false_answers": self.false_answers,
-                "chosen_false_answer": self.chosen_false_answer}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MisinfoSpec":
-        return cls(query_id=d["query_id"],
-                   false_answers=list(d["false_answers"]),
-                   chosen_false_answer=d["chosen_false_answer"])
 
 
 def derive_seed(global_seed: int, *parts) -> int:
@@ -234,15 +206,13 @@ class SyntheticGenerator:
     """
 
     def __init__(self, name: str, accuracy: float = 1.0,
-                 marker: str = DEFAULT_STYLE_MARKER, seed: int = 0,
-                 context_echo_tokens: int = 12):
+                 marker: str = DEFAULT_STYLE_MARKER, seed: int = 0):
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
         self.name = name
         self.accuracy = accuracy
         self.marker = marker
         self.seed = seed
-        self.context_echo_tokens = context_echo_tokens
 
     def _knows_answer(self, query_id: str) -> bool:
         knowledge_seed = derive_seed(self.seed, "knowledge", self.name, query_id)
@@ -251,7 +221,6 @@ class SyntheticGenerator:
     def _forbidden_tokens(self, answers: list[str]) -> set[str]:
         forbidden: set[str] = set()
         for answer in answers:
-            forbidden.update(normalize_answer(answer))
             forbidden.update(tokenize(answer))
         return forbidden
 
@@ -261,7 +230,7 @@ class SyntheticGenerator:
         query_terms = [t for t in tokenize(query) if t not in forbidden]
         echo: list[str] = []
         for ctx in contexts[:1]:
-            ctx_tokens = [t for t in tokenize(ctx)[:self.context_echo_tokens]
+            ctx_tokens = [t for t in tokenize(ctx)[:CONTEXT_ECHO_TOKENS]
                           if t not in forbidden]
             echo.extend(ctx_tokens)
 

@@ -5,7 +5,6 @@ correlation, and paired significance."""
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -16,14 +15,13 @@ from .corpus import CorpusSnapshot, HUMAN
 from .retrieval import RankedList, tokenize
 
 _ARTICLES = {"a", "an", "the"}
-_NORM_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 BOOTSTRAP_RESAMPLES = 10_000
 
 
 def normalize_answer(text: str) -> list[str]:
     """Lowercase, drop punctuation and articles, collapse whitespace."""
-    return [t for t in _NORM_RE.findall(text.lower()) if t not in _ARTICLES]
+    return [t for t in tokenize(text) if t not in _ARTICLES]
 
 
 def _contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
@@ -139,8 +137,7 @@ def _bleu(candidate: list[str], references: list[list[str]], max_n: int) -> floa
     return bp * math.exp(log_sum)
 
 
-def self_bleu(docs: Sequence[str], max_n: int = 3,
-              tokenizer=None) -> float:
+def self_bleu(docs: Sequence[str], max_n: int = 3) -> float:
     """Mean BLEU of each document against the rest of the set.
 
     High values mean the set is homogeneous. Uses uniform 1..max_n-gram
@@ -149,9 +146,7 @@ def self_bleu(docs: Sequence[str], max_n: int = 3,
     """
     if len(docs) < 2:
         raise ValueError("self_bleu needs at least 2 documents")
-    if tokenizer is None:
-        tokenizer = tokenize
-    token_lists = [tokenizer(d) if isinstance(d, str) else list(d) for d in docs]
+    token_lists = [tokenize(d) if isinstance(d, str) else list(d) for d in docs]
     scores = []
     for i, candidate in enumerate(token_lists):
         references = token_lists[:i] + token_lists[i + 1:]
@@ -175,17 +170,14 @@ def transitions(em_prev: Mapping, em_next: Mapping) -> tuple[int, int]:
 
 
 def first_right_ranks(ranked: RankedList, golds: Sequence[str],
-                      corpus: CorpusSnapshot,
-                      horizon: int | None = None) -> tuple[int | None, int | None]:
+                      corpus: CorpusSnapshot) -> tuple[int | None, int | None]:
     """Rank of the first correct document from any source and from humans.
 
-    Returns None for a slot when no such document exists within the
-    horizon (default: the whole list).
+    Returns None for a slot when no such document is in the list.
     """
     first_any: int | None = None
     first_human: int | None = None
-    entries = ranked.entries if horizon is None else ranked.entries[:horizon]
-    for entry in entries:
+    for entry in ranked.entries:
         doc = corpus.get(entry.doc_id)
         if not em(golds, doc.text):
             continue
@@ -254,27 +246,6 @@ class EvalRecord:
             raise ValueError("first correct rank from any source cannot exceed "
                              "the first correct human rank")
 
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "iteration": self.iteration,
-            "generator_name": self.generator_name,
-            "em": self.em,
-            "em_llm": self.em_llm,
-            "context_right_num": self.context_right_num,
-            "first_right_any": self.first_right_any,
-            "first_right_human": self.first_right_human,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalRecord":
-        return cls(query_id=d["query_id"], iteration=int(d["iteration"]),
-                   generator_name=d["generator_name"], em=int(d["em"]),
-                   em_llm=d.get("em_llm"),
-                   context_right_num=int(d.get("context_right_num", 0)),
-                   first_right_any=d.get("first_right_any"),
-                   first_right_human=d.get("first_right_human"))
-
 
 @dataclass
 class IterationMetrics:
@@ -306,40 +277,3 @@ class IterationMetrics:
                 raise ValueError(f"source shares sum to {total}, expected 100")
         if not 0.0 <= self.self_bleu_top5 <= 1.0:
             raise ValueError(f"self_bleu_top5 out of range: {self.self_bleu_top5}")
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "acc_at_5": self.acc_at_5,
-            "acc_at_20": self.acc_at_20,
-            "em_mean": self.em_mean,
-            "em_mean_by_generator": self.em_mean_by_generator,
-            "dominance_p": self.dominance_p,
-            "source_share_top50": self.source_share_top50,
-            "self_bleu_top5": self.self_bleu_top5,
-            "transitions_01": self.transitions_01,
-            "transitions_10": self.transitions_10,
-            "em_llm_mean": self.em_llm_mean,
-            "pearson_em_em_llm": self.pearson_em_em_llm,
-            "context_right_hist": self.context_right_hist,
-            "first_right_summary": self.first_right_summary,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationMetrics":
-        return cls(
-            iteration=int(d["iteration"]),
-            acc_at_5=float(d["acc_at_5"]),
-            acc_at_20=float(d["acc_at_20"]),
-            em_mean=float(d["em_mean"]),
-            em_mean_by_generator=dict(d.get("em_mean_by_generator", {})),
-            dominance_p=float(d.get("dominance_p", 0.0)),
-            source_share_top50=dict(d.get("source_share_top50", {})),
-            self_bleu_top5=float(d.get("self_bleu_top5", 0.0)),
-            transitions_01=d.get("transitions_01"),
-            transitions_10=d.get("transitions_10"),
-            em_llm_mean=d.get("em_llm_mean"),
-            pearson_em_em_llm=d.get("pearson_em_em_llm"),
-            context_right_hist=dict(d.get("context_right_hist", {})),
-            first_right_summary=dict(d.get("first_right_summary", {})),
-        )

@@ -7,6 +7,7 @@ replaced or extended without touching code.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -44,28 +45,20 @@ class PhraseList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PhraseList":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        phrases = [ln.strip() for ln in lines
-                   if ln.strip() and not ln.lstrip().startswith("#")]
-        return cls(phrases)
+        return cls(_phrase_lines(Path(path).read_text(encoding="utf-8")))
 
 
+def _phrase_lines(text: str) -> list[str]:
+    """One phrase per line; blank lines and `#` comments are skipped."""
+    return [ln.strip() for ln in text.splitlines()
+            if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+@functools.cache
 def default_phrase_list() -> PhraseList:
+    """The packaged phrase list, loaded once and shared by every caller."""
     ref = resources.files("ragloop").joinpath("data/phrases.txt")
-    lines = ref.read_text(encoding="utf-8").splitlines()
-    phrases = [ln.strip() for ln in lines
-               if ln.strip() and not ln.lstrip().startswith("#")]
-    return PhraseList(phrases)
-
-
-_DEFAULT: PhraseList | None = None
-
-
-def _default() -> PhraseList:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = default_phrase_list()
-    return _DEFAULT
+    return PhraseList(_phrase_lines(ref.read_text(encoding="utf-8")))
 
 
 @dataclass
@@ -83,7 +76,7 @@ def clean_detailed(text: str, phrases: PhraseList | None = None) -> CleanResult:
     the text keeps the original instead (flagged), so a document is never
     destroyed outright.
     """
-    plist = phrases if phrases is not None else _default()
+    plist = phrases if phrases is not None else default_phrase_list()
     out = text
     removed = 0
     # repeat until fixed point: a removal can expose a new match at the seam,

@@ -80,21 +80,17 @@ class RerankOutcome:
 
 
 def rerank(backend, query: str, candidates: RankedList, depth: int,
-           texts: dict[str, str] | None = None, get_text=None,
-           failure_policy: str = FAILURE_ABORT) -> RerankOutcome:
+           get_text, failure_policy: str = FAILURE_ABORT) -> RerankOutcome:
     """Reorder the first `depth` candidates by backend score, descending.
 
-    Equal scores keep their original relative order; candidates beyond
-    `depth` are appended untouched. Ranks are renumbered consecutively.
+    `get_text(doc_id)` supplies each passage. Equal scores keep their
+    original relative order; candidates beyond `depth` are appended
+    untouched. Ranks are renumbered consecutively.
     On remote failure the configured policy either re-raises or passes the
     input through unchanged (flagged in the outcome).
     """
     if depth < 1:
         raise ValueError("rerank depth must be >= 1")
-    if get_text is None:
-        if texts is None:
-            raise ValueError("rerank needs document texts")
-        get_text = texts.__getitem__
     head = candidates.entries[:depth]
     tail = candidates.entries[depth:]
     passages = [get_text(e.doc_id) for e in head]

@@ -90,6 +90,15 @@ class RankedList:
                    entries=entries)
 
 
+def _id_rank(doc_ids: list[str]) -> np.ndarray:
+    """Each position's rank in ascending doc_id order: the search tie-break."""
+    order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    id_rank = np.empty(len(order), dtype=np.int64)
+    for rank, idx in enumerate(order):
+        id_rank[idx] = rank
+    return id_rank
+
+
 class InvertedIndex:
     """BM25 inverted index supporting single-writer incremental additions.
 
@@ -98,9 +107,7 @@ class InvertedIndex:
     between additions.
     """
 
-    def __init__(self, k1: float = BM25_K1, b: float = BM25_B):
-        self.k1 = k1
-        self.b = b
+    def __init__(self):
         self.postings: dict[str, list[tuple[int, int]]] = {}
         self.doc_ids: list[str] = []
         self._idx_of: dict[str, int] = {}
@@ -147,11 +154,7 @@ class InvertedIndex:
         if self._lengths_array is None:
             self._lengths_array = np.asarray(self.doc_lengths, dtype=np.float64)
         if self._id_rank is None:
-            order = sorted(range(len(self.doc_ids)), key=lambda i: self.doc_ids[i])
-            id_rank = np.empty(len(order), dtype=np.int64)
-            for rank, idx in enumerate(order):
-                id_rank[idx] = rank
-            self._id_rank = id_rank
+            self._id_rank = _id_rank(self.doc_ids)
 
     def _term_arrays(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         cached = self._postings_arrays.get(term)
@@ -183,7 +186,7 @@ class InvertedIndex:
         self._ensure_caches()
         lengths = self._lengths_array
         avgdl = self.avg_doc_length
-        norm = self.k1 * (1.0 - self.b + self.b * lengths / avgdl)
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avgdl)
         scores = np.zeros(self.doc_count, dtype=np.float64)
         matched = np.zeros(self.doc_count, dtype=bool)
         for term in terms:
@@ -201,19 +204,6 @@ class InvertedIndex:
         order = np.lexsort((self._id_rank[hit_idxs], -scores[hit_idxs]))
         top = hit_idxs[order[:k]]
         return [(self.doc_ids[i], float(scores[i])) for i in top]
-
-
-def build_index(docs: list[Document], k1: float = BM25_K1,
-                b: float = BM25_B) -> InvertedIndex:
-    index = InvertedIndex(k1=k1, b=b)
-    index.add(docs)
-    return index
-
-
-def index_add(index: InvertedIndex, docs: list[Document]) -> InvertedIndex:
-    """Add documents in place; result equals a rebuild over the union."""
-    index.add(docs)
-    return index
 
 
 def search_bm25(index: InvertedIndex, query: str, k: int,
@@ -286,9 +276,8 @@ class RemoteEmbeddingClient:
 class VectorIndex:
     """Exact brute-force cosine-similarity index."""
 
-    def __init__(self, dim: int | None = None, backend: str = "stub"):
+    def __init__(self, dim: int | None = None):
         self.dim = dim
-        self.backend = backend
         self.doc_ids: list[str] = []
         self._idx_of: dict[str, int] = {}
         self._vectors: list[np.ndarray] = []
@@ -336,11 +325,7 @@ class VectorIndex:
                 np.zeros((0, self.dim or 0))
             self._norms = np.linalg.norm(self._matrix, axis=1)
         if self._id_rank is None:
-            order = sorted(range(len(self.doc_ids)), key=lambda i: self.doc_ids[i])
-            id_rank = np.empty(len(order), dtype=np.int64)
-            for rank, idx in enumerate(order):
-                id_rank[idx] = rank
-            self._id_rank = id_rank
+            self._id_rank = _id_rank(self.doc_ids)
 
     def search_vector(self, query_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
         if k < 1:

@@ -16,20 +16,20 @@ import os
 import random
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import metrics as M
 from . import postprocess
-from .config import (CONTEXT_SIZE, ExperimentConfig, QueryRecord, ensure_valid,
-                     load_query_set)
+from .config import ExperimentConfig, QueryRecord, ensure_valid, load_query_set
 from .corpus import (Document, SourceTag, add_documents, generated_doc_id,
                      ingest_seed_corpus)
 from .errors import GenerationFailure, RagLoopError
-from .generation import (WITH_CONTEXTS, ZERO_SHOT, GenerationRecord,
-                         GenerationRequest, MisinfoSpec, build_prompt,
-                         derive_seed, generate, generate_false_answers,
-                         generate_mis_passage, judge_support)
+from .generation import (CONTEXT_SIZE, WITH_CONTEXTS, ZERO_SHOT,
+                         GenerationRecord, GenerationRequest, MisinfoSpec,
+                         build_prompt, derive_seed, generate,
+                         generate_false_answers, generate_mis_passage,
+                         judge_support)
 from .filters import FilterResult, diversity_filter, source_filter
 from .rerank import rerank
 from .retrieval import (InvertedIndex, RankedList, VectorIndex, search_bm25,
@@ -88,6 +88,15 @@ def write_json(path: Path, obj: dict) -> None:
                                    indent=2) + "\n")
 
 
+def _generated_doc(gen_name: str, iteration: int, query_id: str,
+                   text: str) -> Document:
+    """A cleaned answer as the corpus document it becomes at `iteration`."""
+    return Document(doc_id=generated_doc_id(gen_name, iteration, query_id),
+                    text=text,
+                    source=SourceTag(kind="generated", generator_name=gen_name),
+                    origin_query_id=query_id, iteration_added=iteration)
+
+
 # ---- query sampling -------------------------------------------------------
 
 def sample_queries(records: list[QueryRecord], n: int,
@@ -132,8 +141,7 @@ class ExperimentRunner:
         self.embedder = config.build_embedder() if config.uses_dense else None
         self.vindex: VectorIndex | None = None
         if config.uses_dense:
-            self.vindex = VectorIndex(backend="remote" if
-                                      config.embedding_endpoint else "stub")
+            self.vindex = VectorIndex()
             self.vindex.add_documents(list(self.corpus.iter_documents()),
                                       self.embedder)
         self.rerank_backend = config.build_rerank_backend() if \
@@ -183,12 +191,10 @@ class ExperimentRunner:
     def _select_contexts(self, ranked: RankedList) -> FilterResult:
         mode = self.config.filter_mode
         if mode == "source":
-            return source_filter(ranked, self.detector, self.corpus,
-                                 want=CONTEXT_SIZE)
+            return source_filter(ranked, self.detector, self.corpus)
         if mode == "diversity":
             return diversity_filter(ranked, self.corpus,
-                                    threshold=self.config.diversity_threshold,
-                                    window=CONTEXT_SIZE)
+                                    threshold=self.config.diversity_threshold)
         return FilterResult(entries=list(ranked.entries[:CONTEXT_SIZE]))
 
     def _commit(self, docs: list[Document]) -> None:
@@ -235,36 +241,21 @@ class ExperimentRunner:
                 return list(pool.map(one, tasks))
         return [one(task) for task in tasks]
 
-    def _grade(self, query: QueryRecord, cleaned: str) -> tuple[int, int | None]:
-        hit = M.em(query.answers, cleaned)
+    def _grade(self, query: QueryRecord, answers: list[str],
+               cleaned: str) -> tuple[int, int | None]:
+        """Containment of any of `answers`, and with a judge its verdict on
+        the first contained answer."""
+        hit = M.em(answers, cleaned)
         em_llm_value: int | None = None
         if self.judge is not None:
             if hit == 0:
                 em_llm_value = 0
             else:
-                matched = next(a for a in query.answers
-                               if M.em([a], cleaned) == 1)
+                matched = next(a for a in answers if M.em([a], cleaned) == 1)
                 verdict, _ = judge_support(self.judge, query.question,
                                            cleaned, matched)
                 em_llm_value = M.em_llm(hit, verdict)
         return hit, em_llm_value
-
-    def _grade_false(self, query: QueryRecord,
-                     cleaned: str) -> tuple[int | None, int | None]:
-        spec = self.misinfo_specs.get(query.query_id)
-        if spec is None:
-            return None, None
-        false = spec.chosen_false_answer
-        hit = M.em([false], cleaned)
-        em_llm_false: int | None = None
-        if self.judge is not None:
-            if hit == 0:
-                em_llm_false = 0
-            else:
-                verdict, _ = judge_support(self.judge, query.question,
-                                           cleaned, false)
-                em_llm_false = M.em_llm(hit, verdict)
-        return hit, em_llm_false
 
     # ---- metric assembly -------------------------------------------------
 
@@ -386,23 +377,20 @@ class ExperimentRunner:
                 failures += 1
                 continue
             cleaned = postprocess.clean(raw, self.phrases)
-            em_value, em_llm_value = self._grade(query, cleaned)
-            em_false, em_llm_false = (self._grade_false(query, cleaned)
-                                      if self.config.misinfo else (None, None))
+            em_value, em_llm_value = self._grade(query, query.answers, cleaned)
+            em_false = em_llm_false = None
+            spec = self.misinfo_specs.get(query.query_id)
+            if spec is not None:
+                em_false, em_llm_false = self._grade(
+                    query, [spec.chosen_false_answer], cleaned)
             records.append(GenerationRecord(
                 query_id=query.query_id, iteration=iteration,
                 generator_name=gen_name, raw_text=raw, cleaned_text=cleaned,
                 em=em_value, em_llm=em_llm_value, em_false=em_false,
                 em_llm_false=em_llm_false))
             if iteration >= 1:
-                entry_iteration = iteration + 1
-                new_docs.append(Document(
-                    doc_id=generated_doc_id(gen_name, entry_iteration,
-                                            query.query_id),
-                    text=cleaned,
-                    source=SourceTag(kind="generated", generator_name=gen_name),
-                    origin_query_id=query.query_id,
-                    iteration_added=entry_iteration))
+                new_docs.append(_generated_doc(gen_name, iteration + 1,
+                                               query.query_id, cleaned))
         if tasks and failures / len(tasks) > self.config.max_failure_fraction:
             raise RagLoopError(
                 f"iteration {iteration} aborted: {failures}/{len(tasks)} "
@@ -442,13 +430,12 @@ class ExperimentRunner:
             ctx_rows.append(row)
         write_jsonl(phase_dir / CONTEXTS_FILE, ctx_rows)
         write_jsonl(phase_dir / GENERATIONS_FILE,
-                    [r.to_dict() for r in artifacts.records])
-        write_jsonl(phase_dir / RECORDS_FILE,
-                    [r.to_dict() for r in eval_records])
+                    [asdict(r) for r in artifacts.records])
+        write_jsonl(phase_dir / RECORDS_FILE, [asdict(r) for r in eval_records])
         write_jsonl(phase_dir / ADDITIONS_FILE, [d.to_dict() for d in new_docs])
         write_json(phase_dir / METRICS_FILE,
                    {"config_hash": self.config_hash,
-                    "metrics": artifacts.metrics.to_dict()})
+                    "metrics": asdict(artifacts.metrics)})
 
     def _phase_complete(self, iteration: int) -> bool:
         return (self._iter_dir(iteration) / METRICS_FILE).is_file()
@@ -457,7 +444,7 @@ class ExperimentRunner:
                                                    dict, list[Document]]:
         phase_dir = self._iter_dir(iteration)
         meta = json.loads((phase_dir / METRICS_FILE).read_text(encoding="utf-8"))
-        bundle = M.IterationMetrics.from_dict(meta["metrics"])
+        bundle = M.IterationMetrics(**meta["metrics"])
         em_map = {}
         for row in read_jsonl(phase_dir / RECORDS_FILE):
             em_map[(row["query_id"], row["generator_name"])] = int(row["em"])
@@ -476,7 +463,7 @@ class ExperimentRunner:
         mis_path = self._injection_dir() / MISINFO_FILE
         if mis_path.is_file():
             self.misinfo_specs = {
-                s["query_id"]: MisinfoSpec.from_dict(s)
+                s["query_id"]: MisinfoSpec(**s)
                 for s in read_jsonl(mis_path)}
         return docs
 
@@ -495,7 +482,7 @@ class ExperimentRunner:
         write_jsonl(inj_dir / ADDITIONS_FILE, [d.to_dict() for d in docs])
         if self.config.misinfo:
             write_jsonl(inj_dir / MISINFO_FILE,
-                        [self.misinfo_specs[qid].to_dict()
+                        [asdict(self.misinfo_specs[qid])
                          for qid in sorted(self.misinfo_specs)])
         write_json(inj_dir / INJECTION_META_FILE,
                    {"config_hash": self.config_hash, "documents": len(docs),
@@ -518,12 +505,8 @@ class ExperimentRunner:
         for (query, gen_name, _request), raw in zip(tasks, outputs):
             if raw is None:
                 continue
-            cleaned = postprocess.clean(raw, self.phrases)
-            docs.append(Document(
-                doc_id=generated_doc_id(gen_name, 1, query.query_id),
-                text=cleaned,
-                source=SourceTag(kind="generated", generator_name=gen_name),
-                origin_query_id=query.query_id, iteration_added=1))
+            docs.append(_generated_doc(gen_name, 1, query.query_id,
+                                       postprocess.clean(raw, self.phrases)))
         return docs
 
     def _build_misinfo_docs(self, specs) -> list[Document]:
@@ -559,13 +542,8 @@ class ExperimentRunner:
                     logger.warning("mis-passage failed for query %s / %s: %s",
                                    query.query_id, gen_spec.name, exc)
                     continue
-                cleaned = postprocess.clean(raw, self.phrases)
-                docs.append(Document(
-                    doc_id=generated_doc_id(gen_spec.name, 1, query.query_id),
-                    text=cleaned,
-                    source=SourceTag(kind="generated",
-                                     generator_name=gen_spec.name),
-                    origin_query_id=query.query_id, iteration_added=1))
+                docs.append(_generated_doc(gen_spec.name, 1, query.query_id,
+                                           postprocess.clean(raw, self.phrases)))
         return docs
 
     # ---- public entry points ----------------------------------------------
@@ -594,13 +572,21 @@ def _check_manifest(runner: ExperimentRunner, resume: bool) -> None:
                 "configuration; refusing to mix runs")
     elif resume:
         logger.info("no manifest in %s; starting fresh", runner.out_dir)
-    write_json(manifest_path, {
+    _write_manifest(runner, "running")
+
+
+def _write_manifest(runner: ExperimentRunner, status: str,
+                    error: str | None = None) -> None:
+    manifest = {
         "config_hash": runner.config_hash,
         "seed": runner.config.seed,
         "iterations": runner.config.iterations,
         "queries": len(runner.queries),
-        "status": "running",
-    })
+        "status": status,
+    }
+    if error is not None:
+        manifest["error"] = error
+    write_json(runner.out_dir / MANIFEST_FILE, manifest)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -613,61 +599,60 @@ def run_experiment(config: ExperimentConfig,
     runner = ExperimentRunner(config)
     _check_manifest(runner, resume)
 
-    all_metrics: list[M.IterationMetrics] = []
-    em_prev: dict | None = None
+    try:
+        all_metrics: list[M.IterationMetrics] = []
+        em_prev: dict | None = None
 
-    # baseline (iteration 0)
-    if resume and runner._phase_complete(0):
-        bundle, em_prev, _ = runner._load_phase(0)
-        all_metrics.append(bundle)
-        logger.info("baseline already complete; loaded")
-    else:
-        artifacts = runner.run_baseline()
-        all_metrics.append(artifacts.metrics)
-        em_prev = {(r.query_id, r.generator_name): r.em
-                   for r in artifacts.records}
-
-    # zero-shot / misinfo injection commits the iteration-1 additions
-    if resume and runner._injection_complete():
-        docs = runner._load_injection()
-        runner._commit(docs)
-        logger.info("injection already complete; loaded %d documents", len(docs))
-    else:
-        docs = runner.inject_zero_shot()
-        runner._commit(docs)
-
-    for iteration in range(1, config.iterations + 1):
-        if resume and runner._phase_complete(iteration):
-            bundle, em_map, docs = runner._load_phase(iteration)
-            runner._commit(docs)
+        # baseline (iteration 0)
+        if resume and runner._phase_complete(0):
+            bundle, em_prev, _ = runner._load_phase(0)
             all_metrics.append(bundle)
-            em_prev = em_map
-            logger.info("iteration %d already complete; loaded", iteration)
-            continue
-        artifacts = runner.run_iteration(iteration, em_prev)
-        all_metrics.append(artifacts.metrics)
-        em_prev = {(r.query_id, r.generator_name): r.em
-                   for r in artifacts.records}
+            logger.info("baseline already complete; loaded")
+        else:
+            artifacts = runner.run_baseline()
+            all_metrics.append(artifacts.metrics)
+            em_prev = {(r.query_id, r.generator_name): r.em
+                       for r in artifacts.records}
 
-    summary_path = write_summary(runner.out_dir, all_metrics)
-    write_jsonl(runner.out_dir / ALL_METRICS_FILE,
-                [{"config_hash": runner.config_hash, **m.to_dict()}
-                 for m in all_metrics])
-    series = emit_plot_series(runner.out_dir)
-    write_json(runner.out_dir / MANIFEST_FILE, {
-        "config_hash": runner.config_hash,
-        "seed": config.seed,
-        "iterations": config.iterations,
-        "queries": len(runner.queries),
-        "status": "complete",
-    })
+        # zero-shot / misinfo injection commits the iteration-1 additions
+        if resume and runner._injection_complete():
+            docs = runner._load_injection()
+            runner._commit(docs)
+            logger.info("injection already complete; loaded %d documents",
+                        len(docs))
+        else:
+            docs = runner.inject_zero_shot()
+            runner._commit(docs)
+
+        for iteration in range(1, config.iterations + 1):
+            if resume and runner._phase_complete(iteration):
+                bundle, em_map, docs = runner._load_phase(iteration)
+                runner._commit(docs)
+                all_metrics.append(bundle)
+                em_prev = em_map
+                logger.info("iteration %d already complete; loaded", iteration)
+                continue
+            artifacts = runner.run_iteration(iteration, em_prev)
+            all_metrics.append(artifacts.metrics)
+            em_prev = {(r.query_id, r.generator_name): r.em
+                       for r in artifacts.records}
+
+        summary_path = write_summary(runner.out_dir, all_metrics)
+        write_jsonl(runner.out_dir / ALL_METRICS_FILE,
+                    [{"config_hash": runner.config_hash, **asdict(m)}
+                     for m in all_metrics])
+        series = emit_plot_series(runner.out_dir)
+    except Exception as exc:
+        _write_manifest(runner, "failed", error=f"{type(exc).__name__}: {exc}")
+        raise
+    _write_manifest(runner, "complete")
     final = all_metrics[-1]
     return {
         "output_dir": str(runner.out_dir),
         "summary": str(summary_path),
         "series": [str(p) for p in series],
         "iterations_run": len(all_metrics) - 1,
-        "final_metrics": final.to_dict(),
+        "final_metrics": asdict(final),
     }
 
 
@@ -710,7 +695,7 @@ def emit_plot_series(run_dir: str | Path) -> list[Path]:
             continue
         try:
             meta = json.loads(metrics_path.read_text(encoding="utf-8"))
-            bundle = M.IterationMetrics.from_dict(meta["metrics"])
+            bundle = M.IterationMetrics(**meta["metrics"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise RagLoopError(f"corrupted metrics file {metrics_path}: {exc}")
         bundles.append(bundle)

@@ -21,7 +21,7 @@ from ragloop.filters import diversity_filter
 from ragloop.generation import SyntheticGenerator, generate_false_answers
 from ragloop.metrics import dominance_p, em, em_llm, self_bleu
 from ragloop.postprocess import clean, default_phrase_list
-from ragloop.retrieval import InvertedIndex, RankedList, build_index
+from ragloop.retrieval import InvertedIndex, RankedList
 from ragloop.runner import ExperimentRunner, read_jsonl, run_experiment
 from ragloop.runner import _check_manifest
 from ragloop.synthdata import write_demo_dataset
@@ -74,7 +74,8 @@ def test_criterion_01_incremental_index_equals_rebuild():
     incremental = InvertedIndex()
     for batch_start in range(0, 1000, 200):
         incremental.add(docs[batch_start:batch_start + 200])
-    rebuilt = build_index(docs)
+    rebuilt = InvertedIndex()
+    rebuilt.add(docs)
     identical = True
     for _ in range(50):
         query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
@@ -88,8 +89,9 @@ def test_criterion_01_incremental_index_equals_rebuild():
 
 
 def test_criterion_02_bm25_hand_value():
-    index = build_index([human_doc("d1", "apple banana"),
-                         human_doc("d2", "banana cherry")])
+    index = InvertedIndex()
+    index.add([human_doc("d1", "apple banana"),
+               human_doc("d2", "banana cherry")])
     results = index.search("apple", 2)
     expected = math.log(2) / 2.2
     ok = (len(results) == 1 and results[0][0] == "d1"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from ragloop.errors import GenerationFailure
@@ -260,14 +262,14 @@ def test_generation_record_cleaning_contract():
     record = GenerationRecord(query_id="q", iteration=1, generator_name="g",
                               raw_text=raw, cleaned_text=clean(raw))
     assert record.cleaned_text == "Paris is the capital."
-    again = GenerationRecord.from_dict(record.to_dict())
+    again = GenerationRecord(**asdict(record))
     assert again == record
 
 
 def test_misinfo_spec_invariants():
     spec = MisinfoSpec(query_id="q", false_answers=list("abcde"),
                        chosen_false_answer="c")
-    assert MisinfoSpec.from_dict(spec.to_dict()) == spec
+    assert MisinfoSpec(**asdict(spec)) == spec
     with pytest.raises(ValueError):
         MisinfoSpec(query_id="q", false_answers=list("abcd"),
                     chosen_false_answer="a")

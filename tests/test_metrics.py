@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -413,5 +414,5 @@ def test_iteration_metrics_validation():
     m.source_share_top50 = {"human": 70.0, "gen": 40.0}
     with pytest.raises(ValueError, match="shares"):
         m.validate()
-    again = IterationMetrics.from_dict(m.to_dict())
+    again = IterationMetrics(**asdict(m))
     assert again.iteration == 1 and again.acc_at_5 == 50.0

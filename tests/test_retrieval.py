@@ -8,8 +8,8 @@ import pytest
 
 from conftest import human_doc
 from ragloop.retrieval import (HashedEmbedder, InvertedIndex, RankedList,
-                               VectorIndex, build_index, index_add,
-                               search_bm25, search_dense, tokenize)
+                               VectorIndex, search_bm25, search_dense,
+                               tokenize)
 
 
 # ---- tokenize -------------------------------------------------------------
@@ -29,8 +29,10 @@ def test_tokenize_is_pure():
 # ---- BM25 -----------------------------------------------------------------
 
 def _two_doc_index():
-    return build_index([human_doc("d1", "apple banana"),
-                        human_doc("d2", "banana cherry")])
+    index = InvertedIndex()
+    index.add([human_doc("d1", "apple banana"),
+               human_doc("d2", "banana cherry")])
+    return index
 
 
 def test_bm25_hand_value():
@@ -55,8 +57,8 @@ def test_bm25_empty_query_gives_empty_list():
 
 
 def test_bm25_tie_break_by_doc_id():
-    index = build_index([human_doc("d_b", "apple pie"),
-                         human_doc("d_a", "apple pie")])
+    index = InvertedIndex()
+    index.add([human_doc("d_b", "apple pie"), human_doc("d_a", "apple pie")])
     results = index.search("apple", 2)
     assert [doc_id for doc_id, _ in results] == ["d_a", "d_b"]
     assert results[0][1] == results[1][1]
@@ -69,7 +71,8 @@ def test_bm25_k_below_one_rejected():
 
 def test_bm25_rankedlist_invariants():
     docs = [human_doc(f"d{i}", "apple " * (i + 1) + "banana") for i in range(8)]
-    index = build_index(docs)
+    index = InvertedIndex()
+    index.add(docs)
     ranked = search_bm25(index, "apple banana", 5, query_id="q", iteration=0)
     ranked.validate()
     assert len(ranked.entries) == 5
@@ -81,14 +84,16 @@ def test_bm25_score_monotone_in_tf():
     docs = [human_doc("d1", "apple apple apple pad"),
             human_doc("d2", "apple apple pad pad"),
             human_doc("d3", "apple pad pad pad")]
-    index = build_index(docs)
+    index = InvertedIndex()
+    index.add(docs)
     scores = dict(index.search("apple", 3))
     assert scores["d1"] >= scores["d2"] >= scores["d3"]
 
 
 def test_index_add_bookkeeping():
-    index = build_index([human_doc("d1", "one two three")])
-    index_add(index, [human_doc("d2", "apple banana")])
+    index = InvertedIndex()
+    index.add([human_doc("d1", "one two three")])
+    index.add([human_doc("d2", "apple banana")])
     assert index.doc_count == 2
     assert index.total_length == 5
     assert ("apple" in index.postings and "banana" in index.postings)
@@ -96,15 +101,17 @@ def test_index_add_bookkeeping():
 
 
 def test_index_add_rejects_reindexing():
-    index = build_index([human_doc("d1", "one")])
+    index = InvertedIndex()
+    index.add([human_doc("d1", "one")])
     with pytest.raises(ValueError, match="already indexed"):
         index.add([human_doc("d1", "one again")])
 
 
 def test_index_add_empty_is_identity():
-    index = build_index([human_doc("d1", "one two")])
+    index = InvertedIndex()
+    index.add([human_doc("d1", "one two")])
     before = (index.doc_count, index.total_length)
-    index_add(index, [])
+    index.add([])
     assert (index.doc_count, index.total_length) == before
 
 
@@ -124,7 +131,8 @@ def test_incremental_equals_rebuild_bit_identical():
     incremental = InvertedIndex()
     for start in range(0, 500, 100):
         incremental.add(docs[start:start + 100])
-    rebuilt = build_index(docs)
+    rebuilt = InvertedIndex()
+    rebuilt.add(docs)
     for _ in range(20):
         query = " ".join(rng.choice(vocab) for _ in range(3))
         a = incremental.search(query, 100)

@@ -9,6 +9,7 @@ from ragloop.config import (ExperimentConfig, load_config, load_query_set,
                             parse_config_mapping, validate_config)
 from ragloop.errors import (ConfigValidationError, CorpusFormatError,
                             RagLoopError)
+from ragloop.generation import SyntheticGenerator
 from ragloop.metrics import em
 from ragloop.runner import (ExperimentRunner, emit_plot_series, read_jsonl,
                             run_experiment, sample_queries)
@@ -64,6 +65,31 @@ generators:
 def test_config_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigValidationError, match="unknown configuration key"):
         _config(tmp_path, mystery_flag=True)
+
+
+def test_config_hash_is_stable():
+    # run directories store this hash and refuse to resume under another,
+    # so its value must not change with the code that computes it
+    raw = {
+        "seed_corpus": "corpus.jsonl", "query_set": "queries.jsonl",
+        "output_dir": "run", "pipeline": "dense+rerank", "iterations": 3,
+        "seed": 11, "filter_mode": "source",
+        "embedding_endpoint": "http://127.0.0.1:9/v1/embeddings",
+        "embedding_model": "emb-1",
+        "generators": [
+            {"name": "local", "kind": "synthetic", "accuracy": 0.6},
+            {"name": "remote-a", "kind": "remote",
+             "endpoint": "http://127.0.0.1:9/v1/chat", "model": "m-1",
+             "temperature": 0.2, "api_key_env": "RAGLOOP_TEST_KEY"},
+        ],
+        "schedule": [{"iterations": "1-2", "generators": ["local"]},
+                     {"iterations": 3, "generators": ["local", "remote-a"]}],
+    }
+    expected = "c28130f00c21f3e8701f2c4e0f20635d88c97b4a666c3e77fe09a7be1f19d914"
+    assert parse_config_mapping(raw).config_hash() == expected
+    execution_only = {"output_dir": "elsewhere", "max_in_flight": 4,
+                      "timeout": 5.0, "retries": 0, "backoff": 0.1}
+    assert parse_config_mapping({**raw, **execution_only}).config_hash() == expected
 
 
 def test_validation_collects_all_problems(tmp_path):
@@ -194,6 +220,24 @@ def test_iteration_aborts_on_majority_failure(tmp_path):
                          for name in runner.generators}
     with pytest.raises(RagLoopError, match="aborted"):
         runner.run_iteration(1, em_prev=None)
+
+
+def test_aborted_run_marks_manifest_failed(tmp_path, monkeypatch):
+    run_iteration = ExperimentRunner.run_iteration
+
+    def failing_iteration(self, iteration, em_prev):
+        self.generators = {name: _AlwaysFailingBackend()
+                           for name in self.generators}
+        return run_iteration(self, iteration, em_prev)
+
+    monkeypatch.setattr(ExperimentRunner, "run_iteration", failing_iteration)
+    config = _config(tmp_path)
+    with pytest.raises(RagLoopError, match="aborted"):
+        run_experiment(config)
+    manifest = json.loads(
+        (Path(config.output_dir) / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "iteration 1 aborted" in manifest["error"]
 
 
 class _SelectivelyFailingBackend:
@@ -368,6 +412,37 @@ def test_judge_grading_produces_em_llm_fields(tmp_path):
     assert all(r["em_llm"] in (0, 1) for r in rows)
     # offline judge says yes iff contained, so the conjunction equals em
     assert all(r["em_llm"] == r["em"] for r in rows)
+
+
+def test_misinfo_judge_grades_chosen_false_answer(tmp_path, monkeypatch):
+    compose = SyntheticGenerator.generate
+
+    def echo_first_context(self, request):
+        # gen-a repeats its top context, so a chosen false answer can reach
+        # its text; gen-b's text never holds one
+        text = compose(self, request)
+        if self.name == "gen-a" and request.contexts:
+            return f"{text} {request.contexts[0]}"
+        return text
+
+    monkeypatch.setattr(SyntheticGenerator, "generate", echo_first_context)
+    config = _config(tmp_path, misinfo=True, grade_with_judge=True)
+    run_experiment(config)
+    out = Path(config.output_dir)
+    chosen = {r["query_id"]: r["chosen_false_answer"]
+              for r in read_jsonl(out / "injection" / "misinfo.jsonl")}
+    baseline = read_jsonl(out / "iterations" / "iter-00" / "generations.jsonl")
+    # the false answers are chosen after the baseline is graded
+    assert all(r["em_false"] is None and r["em_llm_false"] is None
+               for r in baseline)
+    rows = [r for i in (1, 2) for r in
+            read_jsonl(out / "iterations" / f"iter-{i:02d}" / "generations.jsonl")]
+    assert rows
+    for r in rows:
+        assert r["em_false"] == em([chosen[r["query_id"]]], r["cleaned_text"])
+        # offline judge says yes iff contained, so the conjunction equals em
+        assert r["em_llm_false"] == r["em_false"]
+    assert {r["em_false"] for r in rows} == {0, 1}
 
 
 def test_diversity_filter_mode_persists_conforming_contexts(tmp_path):
