@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import retrieval
 from .errors import CorpusFormatError, DuplicateDocumentError
 
 HUMAN = "human"
@@ -109,14 +110,25 @@ def generated_doc_id(generator_name: str, iteration: int, query_id: str) -> str:
 
 
 class _DocStore:
-    """Shared append-only storage behind a chain of snapshots."""
+    """Shared append-only storage behind a chain of snapshots.
 
-    __slots__ = ("docs", "index_of", "head_version")
+    Documents never change after commit, so their tokens are derived once
+    per store: `tokens` maps a document's position to `tokenize(text)` as a
+    tuple, filled on first read. Each token is interned through `vocab`, so
+    equal tokens across documents are one str object. Nothing else derived
+    from the text is kept: n-gram Counters are built per Self-BLEU or filter
+    call and dropped afterwards, because keeping them for every document
+    that reaches a top-5 list costs more memory than the tokens themselves.
+    """
+
+    __slots__ = ("docs", "index_of", "head_version", "tokens", "vocab")
 
     def __init__(self) -> None:
         self.docs: list[Document] = []
         self.index_of: dict[str, int] = {}
         self.head_version = 0
+        self.tokens: dict[int, tuple[str, ...]] = {}
+        self.vocab: dict[str, str] = {}
 
 
 class CorpusSnapshot:
@@ -140,11 +152,27 @@ class CorpusSnapshot:
         idx = self._store.index_of.get(doc_id)
         return idx is not None and idx < self._size
 
-    def get(self, doc_id: str) -> Document:
+    def _position(self, doc_id: str) -> int:
         idx = self._store.index_of.get(doc_id)
         if idx is None or idx >= self._size:
             raise KeyError(f"doc_id {doc_id!r} not in corpus version {self.version}")
-        return self._store.docs[idx]
+        return idx
+
+    def get(self, doc_id: str) -> Document:
+        return self._store.docs[self._position(doc_id)]
+
+    def tokens(self, doc_id: str) -> tuple[str, ...]:
+        """`tokenize` of the document's text, computed once per store.
+        Raises KeyError for a document this version cannot see, as `get`."""
+        idx = self._position(doc_id)
+        store = self._store
+        toks = store.tokens.get(idx)
+        if toks is None:
+            intern = store.vocab.setdefault
+            toks = tuple([intern(t, t)
+                          for t in retrieval.tokenize(store.docs[idx].text)])
+            store.tokens[idx] = toks
+        return toks
 
     def get_text(self, doc_id: str) -> str:
         return self.get(doc_id).text

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .corpus import CorpusSnapshot
 from .errors import RemoteServiceError
 from .generation import CONTEXT_SIZE, DEFAULT_STYLE_MARKER
-from .metrics import self_bleu
+from .metrics import NgramProfile, ngram_profile, self_bleu
 from .remote import post_json_with_retries
 from .retrieval import RankEntry, RankedList
 
@@ -118,10 +118,11 @@ def source_filter(candidates: RankedList, detector,
     return FilterResult(entries=kept, shortfall=len(kept) < want)
 
 
-def _set_self_bleu(entries: list[RankEntry], texts: dict[str, str]) -> float:
+def _set_self_bleu(entries: list[RankEntry],
+                   profiles: dict[str, NgramProfile]) -> float:
     if len(entries) < 2:
         return 0.0
-    return self_bleu([texts[e.doc_id] for e in entries])
+    return self_bleu([profiles[e.doc_id] for e in entries])
 
 
 def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
@@ -133,15 +134,22 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
     remain: score every leave-one-out subset, drop the document whose
     removal helps most (ties drop the worst-ranked), and pull in the next
     candidate. Stops at the first conforming set, or flags exhaustion.
+    Each candidate's n-gram Counters are built once, when it joins the
+    working set, and dropped when the call returns.
     """
     entries = candidates.entries
-    texts = {e.doc_id: corpus.get_text(e.doc_id) for e in entries}
     if len(entries) < window:
         return FilterResult(entries=list(entries), shortfall=True)
-    working = list(entries[:window])
+    profiles: dict[str, NgramProfile] = {}
+
+    def join(entry: RankEntry) -> RankEntry:
+        profiles[entry.doc_id] = ngram_profile(corpus.tokens(entry.doc_id))
+        return entry
+
+    working = [join(e) for e in entries[:window]]
     next_idx = window
     removals = 0
-    while _set_self_bleu(working, texts) > threshold:
+    while _set_self_bleu(working, profiles) > threshold:
         if next_idx >= len(entries):
             return FilterResult(entries=working, exhausted=True,
                                 removals=removals)
@@ -149,7 +157,7 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
         best_score = None
         for pos in range(len(working)):
             subset = working[:pos] + working[pos + 1:]
-            score = _set_self_bleu(subset, texts)
+            score = _set_self_bleu(subset, profiles)
             # ties prefer dropping the worst original rank
             if (best_score is None or score < best_score
                     or (score == best_score
@@ -157,7 +165,7 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
                 best_score = score
                 best_drop = pos
         working.pop(best_drop)
-        working.append(entries[next_idx])
+        working.append(join(entries[next_idx]))
         next_idx += 1
         removals += 1
     return FilterResult(entries=working, removals=removals)

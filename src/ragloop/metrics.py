@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,26 +24,46 @@ def normalize_answer(text: str) -> list[str]:
     return [t for t in tokenize(text) if t not in _ARTICLES]
 
 
-def _contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
+def _gold_needles(gold_answers: Sequence[str]) -> list[list[str]]:
+    if not gold_answers:
+        raise ValueError("em requires at least one gold answer")
+    return [normalize_answer(gold) for gold in gold_answers]
+
+
+def _contains_normalized(tokens: Sequence[str], needle: list[str]) -> bool:
+    """Whether `needle`, a normalized answer, occurs contiguously in
+    `normalize_answer` of the text whose tokens are `tokens`. Articles are
+    stepped over while matching instead of being stripped first, so the
+    corpus's cached tokens serve as they are."""
     if not needle:
         return False
-    n = len(needle)
-    first = needle[0]
-    for i in range(len(haystack) - n + 1):
-        if haystack[i] == first and haystack[i:i + n] == needle:
+    first, rest = needle[0], needle[1:]
+    end = len(tokens)
+    start = 0
+    while True:
+        try:
+            i = tokens.index(first, start)
+        except ValueError:
+            return False
+        j = i + 1
+        for want in rest:
+            while j < end and tokens[j] in _ARTICLES:
+                j += 1
+            if j == end or tokens[j] != want:
+                break
+            j += 1
+        else:
             return True
-    return False
+        start = i + 1
+
+
+def _contains_any(needles: list[list[str]], tokens: Sequence[str]) -> int:
+    return int(any(_contains_normalized(tokens, n) for n in needles))
 
 
 def em(gold_answers: Sequence[str], text: str) -> int:
     """1 iff any normalized gold answer occurs contiguously in the text."""
-    if not gold_answers:
-        raise ValueError("em requires at least one gold answer")
-    text_tokens = normalize_answer(text)
-    for gold in gold_answers:
-        if _contains_subsequence(text_tokens, normalize_answer(gold)):
-            return 1
-    return 0
+    return _contains_any(_gold_needles(gold_answers), tokenize(text))
 
 
 def em_llm(contains: int, judge_verdict: str) -> int:
@@ -62,9 +82,9 @@ def acc_at_k(ranked: Sequence[RankedList], gold: Mapping[str, Sequence[str]],
     for rl in ranked:
         if rl.query_id not in gold:
             raise ValueError(f"query {rl.query_id!r} has no gold answers")
-        answers = gold[rl.query_id]
+        needles = _gold_needles(gold[rl.query_id])
         for entry in rl.top(k):
-            if em(answers, corpus.get_text(entry.doc_id)):
+            if _contains_any(needles, corpus.tokens(entry.doc_id)):
                 hits += 1
                 break
     return 100.0 * hits / len(ranked)
@@ -104,60 +124,108 @@ def source_share(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
     return {label: 100.0 * n / total for label, n in sorted(counts.items())}
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+class NgramProfile(NamedTuple):
+    """A document's length and its n-gram Counters, `counts[n - 1]` for
+    n = 1..max_n. 1-grams are keyed by the token, longer ones by tuples."""
+
+    length: int
+    counts: tuple[Counter, ...]
 
 
-def _bleu(candidate: list[str], references: list[list[str]], max_n: int) -> float:
-    """Sentence BLEU: clipped n-gram precisions, geometric mean, closest-
-    reference brevity penalty, no smoothing."""
-    c = len(candidate)
+def ngram_profile(tokens: Sequence[str], max_n: int = 3) -> NgramProfile:
+    return NgramProfile(len(tokens), (Counter(tokens),) + tuple(
+        Counter(zip(*(tokens[i:] for i in range(n))))
+        for n in range(2, max_n + 1)))
+
+
+def _set_maxima(counters: list[Counter]) -> dict:
+    """Each n-gram's largest count over the set, and the largest count left
+    once one document holding that count is set aside (0 if none)."""
+    maxima: dict = {}
+    get = maxima.get
+    for counts in counters:
+        for ngram, cnt in counts.items():
+            top = get(ngram)
+            if top is None:
+                maxima[ngram] = (cnt, 0)
+            elif cnt > top[0]:
+                maxima[ngram] = (cnt, top[0])
+            elif cnt > top[1]:
+                maxima[ngram] = (top[0], cnt)
+    return maxima
+
+
+def _bleu(candidate: NgramProfile, set_maxima: list[dict],
+          ref_lengths: list[int], max_n: int) -> float:
+    """Sentence BLEU of a member of a set against the other members:
+    clipped n-gram precisions, geometric mean, closest-reference brevity
+    penalty, no smoothing. `set_maxima[n - 1]` is `_set_maxima` of the
+    whole set's n-gram Counters."""
+    c = candidate.length
     if c == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
-        counts = _ngram_counts(candidate, n)
-        total = sum(counts.values())
-        if total == 0:
+    for n in range(max_n):
+        total = c - n
+        if total <= 0:
             return 0.0
-        max_ref: dict[tuple, int] = {}
-        for ref in references:
-            ref_counts = _ngram_counts(ref, n)
-            for ngram, cnt in counts.items():
-                rc = ref_counts.get(ngram, 0)
-                if rc > max_ref.get(ngram, 0):
-                    max_ref[ngram] = rc
-        clipped = sum(min(cnt, max_ref.get(ngram, 0)) for ngram, cnt in counts.items())
+        maxima = set_maxima[n]
+        clipped = 0
+        for ngram, cnt in candidate.counts[n].items():
+            # below the set's largest count, a reference holds the largest;
+            # at it, the best reference holds the runner-up
+            largest, runner_up = maxima[ngram]
+            clipped += cnt if cnt < largest else runner_up
         if clipped == 0:
             return 0.0
         log_sum += math.log(clipped / total) / max_n
-    r = min((len(ref) for ref in references),
-            key=lambda rl: (abs(rl - c), rl))
+    r = min(ref_lengths, key=lambda rl: (abs(rl - c), rl))
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return bp * math.exp(log_sum)
 
 
-def self_bleu(docs: Sequence[str], max_n: int = 3) -> float:
+def self_bleu(docs: Sequence[str | Sequence[str] | NgramProfile],
+              max_n: int = 3) -> float:
     """Mean BLEU of each document against the rest of the set.
 
     High values mean the set is homogeneous. Uses uniform 1..max_n-gram
     weights and no smoothing, so disjoint sets score exactly 0 and
     identical sets exactly 1.
+
+    A document is a text, a token sequence (such as the corpus's cached
+    tokens) or an `NgramProfile` its caller built. Each document's n-gram
+    Counters are built once per call, or once per caller that passes
+    profiles, and are dropped afterwards: keeping them for every document
+    that reaches a top-5 list would cost several times the memory of the
+    cached tokens they are built from.
     """
     if len(docs) < 2:
         raise ValueError("self_bleu needs at least 2 documents")
-    token_lists = [tokenize(d) if isinstance(d, str) else list(d) for d in docs]
+    profiles = []
+    for d in docs:
+        if isinstance(d, NgramProfile):
+            if len(d.counts) != max_n:
+                raise ValueError(f"profile has {len(d.counts)}-gram counts, "
+                                 f"self_bleu needs {max_n}")
+            profiles.append(d)
+        else:
+            profiles.append(ngram_profile(
+                tokenize(d) if isinstance(d, str) else d, max_n))
+    set_maxima = [_set_maxima([p.counts[n] for p in profiles])
+                  for n in range(max_n)]
+    lengths = [p.length for p in profiles]
     scores = []
-    for i, candidate in enumerate(token_lists):
-        references = token_lists[:i] + token_lists[i + 1:]
-        scores.append(_bleu(candidate, references, max_n))
+    for i, candidate in enumerate(profiles):
+        scores.append(_bleu(candidate, set_maxima,
+                            lengths[:i] + lengths[i + 1:], max_n))
     return sum(scores) / len(scores)
 
 
 def context_right_num(top5: RankedList, golds: Sequence[str],
                       corpus: CorpusSnapshot) -> int:
     """How many of the top-5 documents contain a gold answer."""
-    return sum(em(golds, corpus.get_text(e.doc_id)) for e in top5.top(5))
+    needles = _gold_needles(golds)
+    return sum(_contains_any(needles, corpus.tokens(e.doc_id)) for e in top5.top(5))
 
 
 def transitions(em_prev: Mapping, em_next: Mapping) -> tuple[int, int]:
@@ -177,13 +245,13 @@ def first_right_ranks(ranked: RankedList, golds: Sequence[str],
     """
     first_any: int | None = None
     first_human: int | None = None
+    needles = _gold_needles(golds)
     for entry in ranked.entries:
-        doc = corpus.get(entry.doc_id)
-        if not em(golds, doc.text):
+        if not _contains_any(needles, corpus.tokens(entry.doc_id)):
             continue
         if first_any is None:
             first_any = entry.rank
-        if doc.source.kind == HUMAN:
+        if corpus.source_of(entry.doc_id).kind == HUMAN:
             first_human = entry.rank
             break
     return first_any, first_human

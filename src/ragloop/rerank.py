@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
+from .corpus import CorpusSnapshot
 from .errors import RemoteServiceError
 from .remote import post_json_with_retries
 from .retrieval import RankedList, RankEntry, tokenize
@@ -20,18 +22,24 @@ FAILURE_PASS_THROUGH = "pass-through-unranked"
 
 
 class LexicalOverlapBackend:
-    """Scores a passage by the fraction of query terms it covers."""
+    """Scores a passage by the fraction of query terms it covers.
+
+    A passage is a text or its tokens; `rerank` passes the corpus's cached
+    tokens.
+    """
 
     name = "lexical-overlap"
+    reads_tokens = True
 
-    def score(self, query: str, passages: list[str]) -> list[float]:
+    def score(self, query: str,
+              passages: list[str] | list[Sequence[str]]) -> list[float]:
         query_terms = set(tokenize(query))
         if not query_terms:
             return [0.0 for _ in passages]
         scores = []
         for passage in passages:
-            terms = set(tokenize(passage))
-            scores.append(len(query_terms & terms) / len(query_terms))
+            terms = tokenize(passage) if isinstance(passage, str) else passage
+            scores.append(len(query_terms.intersection(terms)) / len(query_terms))
         return scores
 
 
@@ -41,6 +49,8 @@ class RemoteScorerBackend:
     POST {"query": ..., "passages": [...]} and expects either a bare JSON
     array of floats or {"scores": [...]}.
     """
+
+    reads_tokens = False
 
     def __init__(self, endpoint: str, model: str = "", batch_size: int = 32,
                  timeout: float = 30.0, retries: int = 3, backoff: float = 1.0,
@@ -80,10 +90,12 @@ class RerankOutcome:
 
 
 def rerank(backend, query: str, candidates: RankedList, depth: int,
-           get_text, failure_policy: str = FAILURE_ABORT) -> RerankOutcome:
+           corpus: CorpusSnapshot,
+           failure_policy: str = FAILURE_ABORT) -> RerankOutcome:
     """Reorder the first `depth` candidates by backend score, descending.
 
-    `get_text(doc_id)` supplies each passage. Equal scores keep their
+    Each passage is read from `corpus`: its cached tokens for a backend
+    that `reads_tokens`, its text otherwise. Equal scores keep their
     original relative order; candidates beyond `depth` are appended
     untouched. Ranks are renumbered consecutively.
     On remote failure the configured policy either re-raises or passes the
@@ -93,7 +105,8 @@ def rerank(backend, query: str, candidates: RankedList, depth: int,
         raise ValueError("rerank depth must be >= 1")
     head = candidates.entries[:depth]
     tail = candidates.entries[depth:]
-    passages = [get_text(e.doc_id) for e in head]
+    passage = corpus.tokens if backend.reads_tokens else corpus.get_text
+    passages = [passage(e.doc_id) for e in head]
     try:
         scores = backend.score(query, passages)
     except RemoteServiceError:

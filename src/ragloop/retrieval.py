@@ -12,12 +12,15 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import Document
 from .errors import RemoteServiceError
 from .remote import post_json_with_retries
+
+if TYPE_CHECKING:
+    from .corpus import Document
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -222,17 +225,27 @@ class HashedEmbedder:
     def __init__(self, dim: int = 256, seed: int = 0):
         self.dim = dim
         self.seed = seed
+        # token -> (bucket, sign), derived once per token from its digest
+        self._slots: dict[str, tuple[int, float]] = {}
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         return [self._embed_one(t) for t in texts]
 
+    def _slot(self, token: str) -> tuple[int, float]:
+        digest = hashlib.sha256(f"{self.seed}:{token}".encode("utf-8")).digest()
+        slot = (int.from_bytes(digest[:8], "big") % self.dim,
+                1.0 if digest[8] & 1 else -1.0)
+        self._slots[token] = slot
+        return slot
+
     def _embed_one(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
+        # sums of +/-1.0 are exact, so a list accumulates the same values
+        acc = [0.0] * self.dim
+        slots = self._slots
         for token in tokenize(text):
-            digest = hashlib.sha256(f"{self.seed}:{token}".encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:8], "big") % self.dim
-            sign = 1.0 if digest[8] & 1 else -1.0
-            vec[bucket] += sign
+            bucket, sign = slots.get(token) or self._slot(token)
+            acc[bucket] += sign
+        vec = np.array(acc, dtype=np.float64)
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm

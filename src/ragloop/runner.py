@@ -33,7 +33,7 @@ from .generation import (CONTEXT_SIZE, WITH_CONTEXTS, ZERO_SHOT,
 from .filters import FilterResult, diversity_filter, source_filter
 from .rerank import rerank
 from .retrieval import (InvertedIndex, RankedList, VectorIndex, search_bm25,
-                        search_dense, tokenize)
+                        search_dense)
 
 logger = logging.getLogger(__name__)
 
@@ -154,7 +154,6 @@ class ExperimentRunner:
         self.phrases = (postprocess.PhraseList.from_file(config.phrase_file)
                         if config.phrase_file else None)
         self.misinfo_specs: dict[str, MisinfoSpec] = {}
-        self._token_cache: dict[str, list[str]] = {}
 
     # ---- shared helpers --------------------------------------------------
 
@@ -163,13 +162,6 @@ class ExperimentRunner:
 
     def _injection_dir(self) -> Path:
         return self.out_dir / "injection"
-
-    def _doc_tokens(self, doc_id: str) -> list[str]:
-        toks = self._token_cache.get(doc_id)
-        if toks is None:
-            toks = tokenize(self.corpus.get_text(doc_id))
-            self._token_cache[doc_id] = toks
-        return toks
 
     def _retrieve(self, query: QueryRecord, iteration: int) -> RankedList:
         depth = self.config.retrieval_depth
@@ -183,7 +175,7 @@ class ExperimentRunner:
         if self.rerank_backend is not None:
             outcome = rerank(self.rerank_backend, query.question, ranked,
                              depth=self.config.rerank_depth,
-                             get_text=self.corpus.get_text,
+                             corpus=self.corpus,
                              failure_policy=self.config.rerank_failure_policy)
             ranked = outcome.ranked
         return ranked
@@ -276,7 +268,7 @@ class ExperimentRunner:
             top = rl.top(5)
             if len(top) >= 2:
                 bleu_values.append(M.self_bleu(
-                    [self._doc_tokens(e.doc_id) for e in top]))
+                    [self.corpus.tokens(e.doc_id) for e in top]))
         bleu = sum(bleu_values) / len(bleu_values) if bleu_values else 0.0
 
         by_gen: dict[str, list[int]] = {}

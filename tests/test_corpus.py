@@ -11,6 +11,7 @@ from ragloop.corpus import (Document, DuplicateDocumentError, HUMAN_SOURCE,
                             generated_doc_id, ingest_seed_corpus,
                             load_exported_snapshot, provenance_stats)
 from ragloop.errors import CorpusFormatError
+from ragloop.retrieval import tokenize
 
 
 def test_ingest_three_records(tmp_path):
@@ -185,3 +186,53 @@ def test_export_roundtrip(tmp_path):
     assert reloaded.get("g1").source.generator_name == "gen"
     assert reloaded.get("g1").origin_query_id == "q9"
     assert provenance_stats(reloaded) == provenance_stats(snap)
+
+
+# ---- cached tokens ----------------------------------------------------------
+
+def _assert_tokens_match_text(snap):
+    for doc in snap.iter_documents():
+        assert snap.tokens(doc.doc_id) == tuple(tokenize(doc.text))
+
+
+def test_tokens_match_tokenize_after_ingest_add_and_reload(tmp_path):
+    snap = _seed(tmp_path, 6)
+    _assert_tokens_match_text(snap)
+    snap = add_documents(snap, [
+        generated_doc("g1", "Gen text: the SAME words, the same words!", "g", "q1"),
+        generated_doc("g2", "Ünïcode café_bar 42", "g", "q2")])
+    _assert_tokens_match_text(snap)
+    out = tmp_path / "export.jsonl"
+    export_snapshot(snap, out)
+    _assert_tokens_match_text(load_exported_snapshot(out))
+
+
+def test_tokens_are_interned_per_store(tmp_path):
+    snap = add_documents(_seed(tmp_path, 2), [
+        generated_doc("g1", "shared words here", "g", "q1"),
+        generated_doc("g2", "other shared words", "g", "q2")])
+    first, second = snap.tokens("g1"), snap.tokens("g2")
+    assert first[0] is second[1] and first[1] is second[2]
+    assert snap.tokens("g1") is first
+
+
+def test_superseded_snapshot_hides_later_tokens(tmp_path):
+    snap0 = _seed(tmp_path, 3)
+    snap1 = add_documents(snap0, [generated_doc("g1", "later text", "g", "q1")])
+    assert snap1.tokens("g1") == ("later", "text")
+    with pytest.raises(KeyError):
+        snap0.get("g1")
+    with pytest.raises(KeyError):
+        snap0.tokens("g1")
+    with pytest.raises(KeyError):
+        snap1.tokens("missing")
+
+
+def test_stores_with_same_doc_id_keep_their_own_tokens(tmp_path):
+    a = ingest_seed_corpus(write_jsonl_file(tmp_path / "a.jsonl",
+                                            [{"doc_id": "d1", "text": "alpha one"}]))
+    b = ingest_seed_corpus(write_jsonl_file(tmp_path / "b.jsonl",
+                                            [{"doc_id": "d1", "text": "beta two"}]))
+    assert a.tokens("d1") == ("alpha", "one")
+    assert b.tokens("d1") == ("beta", "two")
+    assert a.tokens("d1") == ("alpha", "one")

@@ -7,11 +7,17 @@ from ragloop.rerank import (FAILURE_PASS_THROUGH, LexicalOverlapBackend,
                             RemoteScorerBackend, rerank)
 from ragloop.retrieval import RankedList
 
+from conftest import human_doc, snapshot_of
+
 
 def _candidates(ids, query_id="q"):
     return RankedList.from_ordered(query_id, 0,
                                    [(d, float(len(ids) - i))
                                     for i, d in enumerate(ids)])
+
+
+def _corpus(texts):
+    return snapshot_of([human_doc(d, t) for d, t in texts.items()])
 
 
 def test_lexical_overlap_scores():
@@ -29,7 +35,7 @@ def test_lexical_overlap_empty_query():
 def test_rerank_orders_by_overlap():
     texts = {"A": "paris is the capital of france", "B": "banana"}
     out = rerank(LexicalOverlapBackend(), "capital of france",
-                 _candidates(["B", "A"]), depth=10, get_text=texts.__getitem__)
+                 _candidates(["B", "A"]), depth=10, corpus=_corpus(texts))
     assert out.ranked.doc_ids() == ["A", "B"]
     assert [e.rank for e in out.ranked.entries] == [1, 2]
 
@@ -38,7 +44,7 @@ def test_rerank_depth_clamps_to_candidates():
     ids = [f"d{i}" for i in range(40)]
     texts = {d: f"text {d}" for d in ids}
     out = rerank(LexicalOverlapBackend(), "unrelated query",
-                 _candidates(ids), depth=100, get_text=texts.__getitem__)
+                 _candidates(ids), depth=100, corpus=_corpus(texts))
     assert len(out.ranked.entries) == 40
 
 
@@ -46,7 +52,7 @@ def test_rerank_equal_scores_keep_original_order():
     ids = ["d1", "d2", "d3"]
     texts = {d: "same text" for d in ids}
     out = rerank(LexicalOverlapBackend(), "same text",
-                 _candidates(ids), depth=3, get_text=texts.__getitem__)
+                 _candidates(ids), depth=3, corpus=_corpus(texts))
     assert out.ranked.doc_ids() == ids
 
 
@@ -55,7 +61,7 @@ def test_rerank_tail_beyond_depth_untouched():
     texts = {"low": "nothing here", "high": "query words match",
              "tail1": "query words match", "tail2": "query words match"}
     out = rerank(LexicalOverlapBackend(), "query words match",
-                 _candidates(ids), depth=2, get_text=texts.__getitem__)
+                 _candidates(ids), depth=2, corpus=_corpus(texts))
     assert out.ranked.doc_ids() == ["high", "low", "tail1", "tail2"]
 
 
@@ -63,14 +69,14 @@ def test_rerank_is_permutation():
     ids = [f"d{i}" for i in range(15)]
     texts = {d: f"words {i} overlap query" for i, d in enumerate(ids)}
     out = rerank(LexicalOverlapBackend(), "overlap query",
-                 _candidates(ids), depth=7, get_text=texts.__getitem__)
+                 _candidates(ids), depth=7, corpus=_corpus(texts))
     assert sorted(out.ranked.doc_ids()) == sorted(ids)
 
 
 def test_rerank_depth_zero_rejected():
     with pytest.raises(ValueError):
         rerank(LexicalOverlapBackend(), "q", _candidates(["a"]), depth=0,
-               get_text={"a": "t"}.__getitem__)
+               corpus=_corpus({"a": "t"}))
 
 
 def test_remote_scorer_roundtrip(stub_server):
@@ -114,7 +120,7 @@ def test_rerank_failure_abort_policy(stub_server):
                                   retries=1, backoff=0.01)
     with pytest.raises(RemoteServiceError):
         rerank(backend, "q", _candidates(["a", "b"]), depth=2,
-               get_text={"a": "x", "b": "y"}.__getitem__)
+               corpus=_corpus({"a": "x", "b": "y"}))
 
 
 def test_rerank_failure_pass_through_policy(stub_server):
@@ -123,7 +129,24 @@ def test_rerank_failure_pass_through_policy(stub_server):
                                   retries=0, backoff=0.01)
     candidates = _candidates(["a", "b"])
     out = rerank(backend, "q", candidates, depth=2,
-                 get_text={"a": "x", "b": "y"}.__getitem__,
+                 corpus=_corpus({"a": "x", "b": "y"}),
                  failure_policy=FAILURE_PASS_THROUGH)
     assert out.passed_through
     assert out.ranked.doc_ids() == ["a", "b"]
+
+
+def test_lexical_overlap_same_scores_from_tokens_and_text():
+    texts = {"d1": "Paris is the capital of France.",
+             "d2": "capital capital, of; OF",
+             "d3": "nothing shared",
+             "d4": "France's capital-city: Paris"}
+    corpus = _corpus(texts)
+    backend = LexicalOverlapBackend()
+    for query in ("capital of france", "paris", "zzz", "!!!"):
+        from_text = backend.score(query, list(texts.values()))
+        from_tokens = backend.score(query, [corpus.tokens(d) for d in texts])
+        assert from_tokens == from_text
+    out = rerank(backend, "capital of france", _candidates(list(texts)),
+                 depth=4, corpus=corpus)
+    assert [e.score for e in out.ranked.entries] == sorted(
+        backend.score("capital of france", list(texts.values())), reverse=True)

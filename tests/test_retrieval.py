@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -210,3 +211,35 @@ def test_rankedlist_serialization_roundtrip():
     assert again.query_id == "q1" and again.iteration == 3
     assert [(e.doc_id, e.score, e.rank) for e in again.entries] == \
            [("a", 2.5, 1), ("b", 1.0, 2)]
+
+
+def _direct_embedding(text, dim, seed):
+    # the derivation the embedder memoizes, applied to every token afresh
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokenize(text):
+        digest = hashlib.sha256(f"{seed}:{token}".encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:8], "big") % dim
+        sign = 1.0 if digest[8] & 1 else -1.0
+        vec[bucket] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def test_hashed_embedder_bit_identical_to_direct_derivation_in_any_order():
+    rng = random.Random(31)
+    vocab = [f"tok{i}" for i in range(60)] + ["the", "a", "café"]
+    texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(0, 40)))
+             for _ in range(40)] + ["", "!!!", "the the the"]
+    for dim, seed in ((256, 0), (7, 5)):
+        want = {t: _direct_embedding(t, dim, seed) for t in texts}
+        embedder = HashedEmbedder(dim=dim, seed=seed)
+        for _ in range(3):
+            order = texts[:]
+            rng.shuffle(order)
+            for text, vec in zip(order, embedder.embed(order)):
+                assert vec.tobytes() == want[text].tobytes()
+        one_by_one = HashedEmbedder(dim=dim, seed=seed)
+        for text in reversed(texts):
+            assert one_by_one.embed([text])[0].tobytes() == want[text].tobytes()
