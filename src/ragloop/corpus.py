@@ -163,7 +163,9 @@ class CorpusSnapshot:
 
     def tokens(self, doc_id: str) -> tuple[str, ...]:
         """`tokenize` of the document's text, computed once per store.
-        Raises KeyError for a document this version cannot see, as `get`."""
+        Raises KeyError for a document this version cannot see, as `get`.
+        Safe with concurrent readers: threads that race on a document store
+        equal tuples, and `setdefault` interns each token exactly once."""
         idx = self._position(doc_id)
         store = self._store
         toks = store.tokens.get(idx)

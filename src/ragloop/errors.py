@@ -48,5 +48,10 @@ class RemoteServiceError(RagLoopError):
     """A remote backend call failed after exhausting its retry budget."""
 
 
+class RemoteRequestRejected(RemoteServiceError):
+    """The service refused the request itself (a 4xx other than 408/429);
+    repeating it cannot succeed, so it is never retried."""
+
+
 class GenerationFailure(RagLoopError):
     """A single query's generation failed; the query is skipped and logged."""

@@ -1,16 +1,66 @@
 """HTTP plumbing shared by the remote chat, embedding, scoring, and
-detector clients: JSON POST with bounded retries and exponential backoff."""
+detector clients: JSON POST over one keep-alive session, with bounded
+retries and capped, jittered exponential backoff."""
 
 from __future__ import annotations
 
+import functools
 import logging
+import random
 import time
 
 import requests
 
-from .errors import RemoteServiceError
+from .errors import RemoteRequestRejected, RemoteServiceError
 
 logger = logging.getLogger(__name__)
+
+# Client errors that mean "try again later" rather than "this request is wrong".
+RETRYABLE_CLIENT_ERRORS = (408, 429)
+# Longest wait taken from a server's Retry-After header, and longest backoff.
+MAX_RETRY_DELAY_S = 60.0
+
+# One session for every client in the process: its connection pool keeps
+# connections alive between requests, so a run opens at most as many
+# connections per host as it has requests in flight at once. Its pool is
+# thread-safe; nothing else on it (cookies, auth) is used. It reads no
+# environment itself: `_environment` does, once per endpoint.
+_SESSION = requests.Session()
+_SESSION.trust_env = False
+# Jitter spreads retries from concurrent callers apart in time; it is
+# unseeded and feeds nothing that a run writes.
+_JITTER = random.Random()
+
+
+@functools.lru_cache(maxsize=64)
+def _environment(url: str) -> dict:
+    """What requests reads from the environment for `url`: proxies
+    (HTTP_PROXY, NO_PROXY, ...), the CA bundle and .netrc credentials.
+    Read once per endpoint, not on every call, where scanning os.environ
+    cost about as much CPU as the rest of the request."""
+    settings = requests.Session().merge_environment_settings(
+        url, {}, None, None, None)
+    return {"proxies": settings["proxies"], "verify": settings["verify"],
+            "auth": requests.utils.get_netrc_auth(url)}
+
+
+def _retry_after(resp: requests.Response) -> float | None:
+    """The server's Retry-After in seconds, capped; None if absent or not a
+    number of seconds (an HTTP date falls back to backoff)."""
+    value = resp.headers.get("Retry-After")
+    if value is None:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        return None
+    return min(max(seconds, 0.0), MAX_RETRY_DELAY_S)
+
+
+def _backoff_delay(backoff: float, attempt: int) -> float:
+    """Capped exponential backoff with equal jitter: half fixed, half random."""
+    delay = min(backoff * (2 ** attempt), MAX_RETRY_DELAY_S)
+    return delay / 2 + _JITTER.uniform(0.0, delay / 2)
 
 
 def post_json_with_retries(url: str, payload: dict, *, timeout: float = 30.0,
@@ -18,8 +68,12 @@ def post_json_with_retries(url: str, payload: dict, *, timeout: float = 30.0,
                            api_key: str | None = None):
     """POST a JSON payload; retry transient failures with backoff.
 
-    `retries` counts additional attempts after the first. Raises
-    RemoteServiceError once the budget is exhausted.
+    Transient means a connection error or timeout, a reply that is not
+    JSON, 5xx, 408 or 429. A retryable reply's Retry-After (seconds) sets
+    the wait, so `Retry-After: 0` retries at once; otherwise the wait is
+    exponential backoff. `retries` counts additional attempts after the
+    first. Any other 4xx raises RemoteRequestRejected at once; an
+    exhausted budget raises RemoteServiceError.
     """
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -27,25 +81,27 @@ def post_json_with_retries(url: str, payload: dict, *, timeout: float = 30.0,
     attempts = retries + 1
     last_error: Exception | None = None
     for attempt in range(attempts):
+        delay: float | None = None
         try:
-            resp = requests.post(url, json=payload, timeout=timeout, headers=headers)
-            if resp.status_code >= 500:
-                raise RemoteServiceError(f"server error {resp.status_code} from {url}")
-            if resp.status_code >= 400:
-                # client errors are not retryable
-                raise RemoteServiceError(
-                    f"request rejected ({resp.status_code}) by {url}: {resp.text[:200]}")
-            return resp.json()
-        except RemoteServiceError as exc:
-            if "rejected" in str(exc):
-                raise
-            last_error = exc
+            resp = _SESSION.post(url, json=payload, timeout=timeout,
+                                 headers=headers, **_environment(url))
+            status = resp.status_code
+            if status < 400:
+                return resp.json()
+            if status >= 500 or status in RETRYABLE_CLIENT_ERRORS:
+                last_error = RemoteServiceError(f"status {status} from {url}")
+                delay = _retry_after(resp)
+            else:
+                raise RemoteRequestRejected(
+                    f"request rejected ({status}) by {url}: {resp.text[:200]}")
         except (requests.RequestException, ValueError) as exc:
             last_error = exc
         if attempt + 1 < attempts:
-            delay = backoff * (2 ** attempt)
+            if delay is None:
+                delay = _backoff_delay(backoff, attempt)
             logger.warning("retrying %s after failure (%s), attempt %d/%d",
                            url, last_error, attempt + 1, attempts)
-            time.sleep(delay)
+            if delay > 0:
+                time.sleep(delay)
     raise RemoteServiceError(f"request to {url} failed after {attempts} attempts: "
                              f"{last_error}")

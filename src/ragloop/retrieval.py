@@ -106,8 +106,9 @@ class InvertedIndex:
     """BM25 inverted index supporting single-writer incremental additions.
 
     Documents are indexed by insertion order; the public interface speaks
-    doc_id strings. Searches are read-only and safe to run concurrently
-    between additions.
+    doc_id strings. Searches may run concurrently between additions: the
+    caches they fill lazily are derived from data no search changes, and
+    each is published by a single assignment.
     """
 
     def __init__(self):
@@ -118,8 +119,7 @@ class InvertedIndex:
         self.total_length = 0
         # caches rebuilt lazily after each mutation
         self._postings_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._lengths_array: np.ndarray | None = None
-        self._id_rank: np.ndarray | None = None
+        self._caches: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def doc_count(self) -> int:
@@ -150,14 +150,16 @@ class InvertedIndex:
                 self.postings.setdefault(term, []).append((idx, count))
         if docs:
             self._postings_arrays.clear()
-            self._lengths_array = None
-            self._id_rank = None
+            self._caches = None
 
-    def _ensure_caches(self) -> None:
-        if self._lengths_array is None:
-            self._lengths_array = np.asarray(self.doc_lengths, dtype=np.float64)
-        if self._id_rank is None:
-            self._id_rank = _id_rank(self.doc_ids)
+    def _ensure_caches(self) -> tuple[np.ndarray, np.ndarray]:
+        """(document lengths, doc_id ranks), published together."""
+        caches = self._caches
+        if caches is None:
+            caches = (np.asarray(self.doc_lengths, dtype=np.float64),
+                      _id_rank(self.doc_ids))
+            self._caches = caches
+        return caches
 
     def _term_arrays(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         cached = self._postings_arrays.get(term)
@@ -186,8 +188,7 @@ class InvertedIndex:
         terms = tokenize(query)
         if not terms or not self.doc_count:
             return []
-        self._ensure_caches()
-        lengths = self._lengths_array
+        lengths, id_rank = self._ensure_caches()
         avgdl = self.avg_doc_length
         norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avgdl)
         scores = np.zeros(self.doc_count, dtype=np.float64)
@@ -204,7 +205,7 @@ class InvertedIndex:
         if hit_idxs.size == 0:
             return []
         # sort by descending score, then lexicographic doc_id
-        order = np.lexsort((self._id_rank[hit_idxs], -scores[hit_idxs]))
+        order = np.lexsort((id_rank[hit_idxs], -scores[hit_idxs]))
         top = hit_idxs[order[:k]]
         return [(self.doc_ids[i], float(scores[i])) for i in top]
 
@@ -225,7 +226,8 @@ class HashedEmbedder:
     def __init__(self, dim: int = 256, seed: int = 0):
         self.dim = dim
         self.seed = seed
-        # token -> (bucket, sign), derived once per token from its digest
+        # token -> (bucket, sign), derived once per token from its digest;
+        # threads that race on a new token store the same value
         self._slots: dict[str, tuple[int, float]] = {}
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
@@ -287,16 +289,19 @@ class RemoteEmbeddingClient:
 
 
 class VectorIndex:
-    """Exact brute-force cosine-similarity index."""
+    """Exact brute-force cosine-similarity index.
+
+    Searches may run concurrently between additions, as with
+    InvertedIndex.
+    """
 
     def __init__(self, dim: int | None = None):
         self.dim = dim
         self.doc_ids: list[str] = []
         self._idx_of: dict[str, int] = {}
         self._vectors: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
-        self._id_rank: np.ndarray | None = None
+        # (matrix, row norms, doc_id ranks), rebuilt lazily after each mutation
+        self._caches: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def doc_count(self) -> int:
@@ -324,21 +329,23 @@ class VectorIndex:
             self.doc_ids.append(doc_id)
             self._vectors.append(vec)
         if items:
-            self._matrix = None
-            self._norms = None
-            self._id_rank = None
+            self._caches = None
 
     def add_documents(self, docs: list[Document], embedder) -> None:
         vectors = embedder.embed([d.text for d in docs])
         self.add_vectors(list(zip([d.doc_id for d in docs], vectors)))
 
-    def _ensure_caches(self) -> None:
-        if self._matrix is None:
-            self._matrix = np.vstack(self._vectors) if self._vectors else \
+    def _ensure_caches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(matrix, row norms, doc_id ranks), published together: a search
+        that sees the matrix also sees its norms."""
+        caches = self._caches
+        if caches is None:
+            matrix = np.vstack(self._vectors) if self._vectors else \
                 np.zeros((0, self.dim or 0))
-            self._norms = np.linalg.norm(self._matrix, axis=1)
-        if self._id_rank is None:
-            self._id_rank = _id_rank(self.doc_ids)
+            caches = (matrix, np.linalg.norm(matrix, axis=1),
+                      _id_rank(self.doc_ids))
+            self._caches = caches
+        return caches
 
     def search_vector(self, query_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
         if k < 1:
@@ -349,15 +356,15 @@ class VectorIndex:
         if query_vec.shape != (self.dim,):
             raise ValueError(
                 f"query dimension {query_vec.shape} does not match index ({self.dim},)")
-        self._ensure_caches()
+        matrix, norms, id_rank = self._ensure_caches()
         qnorm = float(np.linalg.norm(query_vec))
         if qnorm == 0.0:
             sims = np.zeros(self.doc_count, dtype=np.float64)
         else:
-            denom = self._norms * qnorm
-            dots = self._matrix @ query_vec
+            denom = norms * qnorm
+            dots = matrix @ query_vec
             sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-        order = np.lexsort((self._id_rank, -sims))
+        order = np.lexsort((id_rank, -sims))
         top = order[:k]
         return [(self.doc_ids[i], float(sims[i])) for i in top]
 

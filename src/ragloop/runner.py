@@ -216,6 +216,16 @@ class ExperimentRunner:
         tasks.sort(key=lambda t: (t[0].query_id, t[1]))
         return tasks
 
+    def _map(self, fn, items: list) -> list:
+        """`fn` over `items`, results in item order: on a pool of
+        `max_in_flight` threads when that exceeds 1, else in a plain loop.
+        The first exception in item order propagates after the running
+        calls finish; calls not yet started are cancelled."""
+        if self.config.max_in_flight > 1:
+            with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+                return list(pool.map(fn, items))
+        return [fn(item) for item in items]
+
     def _run_tasks(self, tasks: list[tuple]):
         """Generate for every task; failures become None entries."""
 
@@ -228,10 +238,7 @@ class ExperimentRunner:
                                query.query_id, gen_name, exc)
                 return None
 
-        if self.config.max_in_flight > 1:
-            with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-                return list(pool.map(one, tasks))
-        return [one(task) for task in tasks]
+        return self._map(one, tasks)
 
     def _grade(self, query: QueryRecord, answers: list[str],
                cleaned: str) -> tuple[int, int | None]:
@@ -340,12 +347,17 @@ class ExperimentRunner:
                                                   list[Document]]:
         """One retrieve-filter-generate-grade pass; returns artifacts plus
         the cleaned documents ready for commit (empty at baseline)."""
+
+        def select(query: QueryRecord) -> tuple[RankedList, FilterResult]:
+            rl = self._retrieve(query, iteration)
+            return rl, self._select_contexts(rl)
+
         ranked: dict[str, RankedList] = {}
         contexts: dict[str, FilterResult] = {}
-        for query in self.queries:
-            rl = self._retrieve(query, iteration)
+        for query, (rl, kept) in zip(self.queries,
+                                     self._map(select, self.queries)):
             ranked[query.query_id] = rl
-            contexts[query.query_id] = self._select_contexts(rl)
+            contexts[query.query_id] = kept
 
         tasks = self._generation_tasks(iteration, contexts)
         outputs = self._run_tasks(tasks)
@@ -432,10 +444,17 @@ class ExperimentRunner:
     def _phase_complete(self, iteration: int) -> bool:
         return (self._iter_dir(iteration) / METRICS_FILE).is_file()
 
+    def _check_phase_hash(self, meta: dict, phase: str) -> None:
+        if meta.get("config_hash") != self.config_hash:
+            raise RagLoopError(
+                f"phase {phase} in {self.out_dir} was written by a different "
+                "configuration; refusing to resume from it")
+
     def _load_phase(self, iteration: int) -> tuple[M.IterationMetrics,
                                                    dict, list[Document]]:
         phase_dir = self._iter_dir(iteration)
         meta = json.loads((phase_dir / METRICS_FILE).read_text(encoding="utf-8"))
+        self._check_phase_hash(meta, phase_dir.name)
         bundle = M.IterationMetrics(**meta["metrics"])
         em_map = {}
         for row in read_jsonl(phase_dir / RECORDS_FILE):
@@ -450,6 +469,9 @@ class ExperimentRunner:
         return (self._injection_dir() / INJECTION_META_FILE).is_file()
 
     def _load_injection(self) -> list[Document]:
+        meta = json.loads((self._injection_dir() / INJECTION_META_FILE)
+                          .read_text(encoding="utf-8"))
+        self._check_phase_hash(meta, "injection")
         docs = [Document.from_dict(d) for d in
                 read_jsonl(self._injection_dir() / ADDITIONS_FILE)]
         mis_path = self._injection_dir() / MISINFO_FILE

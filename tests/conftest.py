@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -33,47 +35,82 @@ def write_jsonl_file(path: Path, records: list[dict]) -> Path:
     return path
 
 
+class _StubHTTPServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # a client that timed out and hung up breaks the pipe of its reply
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 class StubServer:
     """Tiny local HTTP server for exercising the remote-backend wire formats.
 
-    Routes map a path to a callable taking the JSON payload and returning
-    either a JSON-serializable reply or an (status_code, reply) pair.
-    Every request is recorded for assertions.
+    Routes map a path to a callable taking the JSON payload and returning a
+    JSON-serializable reply, an (status_code, reply) pair or an
+    (status_code, reply, headers) triple; a reply of type bytes is sent as
+    the raw body. Every request is recorded for assertions and every
+    accepted connection is counted. With `keep_alive` the server speaks
+    HTTP/1.1 and keeps a connection open between requests; otherwise it
+    speaks HTTP/1.0 and closes each connection after one reply.
     """
 
-    def __init__(self):
+    def __init__(self, keep_alive: bool = False):
         self.routes = {}
         self.requests: list[tuple[str, dict]] = []
         self.auth_headers: list[str | None] = []
+        self.connections = 0
+        self._sockets: list[socket.socket] = []
+        self._lock = threading.Lock()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
+            def setup(self):
+                super().setup()
+                # headers and body go out in two writes; without this a
+                # kept-alive connection waits on the client's delayed ACK
+                self.connection.setsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY, 1)
+                with server._lock:
+                    server.connections += 1
+                    server._sockets.append(self.connection)
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length) or b"{}")
-                server.requests.append((self.path, payload))
-                server.auth_headers.append(self.headers.get("Authorization"))
+                with server._lock:
+                    server.requests.append((self.path, payload))
+                    server.auth_headers.append(self.headers.get("Authorization"))
                 handler = server.routes.get(self.path)
                 if handler is None:
-                    self.send_response(404)
-                    self.end_headers()
+                    self._reply(404, b"", {})
                     return
                 reply = handler(payload)
-                status = 200
+                status, headers = 200, {}
                 if isinstance(reply, tuple):
-                    status, reply = reply
-                body = json.dumps(reply).encode("utf-8")
+                    status, reply, *rest = reply
+                    headers = rest[0] if rest else {}
+                body = reply if isinstance(reply, bytes) else \
+                    json.dumps(reply).encode("utf-8")
+                self._reply(status, body, headers)
+
+            def _reply(self, status: int, body: bytes, headers: dict):
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
 
             def log_message(self, *args):
                 pass
 
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._httpd = _StubHTTPServer(("127.0.0.1", 0), Handler)
+        # a short poll interval lets close() return quickly
         self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.05},
                                         daemon=True)
         self._thread.start()
 
@@ -88,10 +125,26 @@ class StubServer:
     def close(self):
         self._httpd.shutdown()
         self._httpd.server_close()
+        # wake handler threads still waiting on a kept-alive connection
+        with self._lock:
+            sockets = list(self._sockets)
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._thread.join(timeout=5)
 
 
 @pytest.fixture
 def stub_server():
     server = StubServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def keepalive_server():
+    server = StubServer(keep_alive=True)
     yield server
     server.close()

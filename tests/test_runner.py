@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,9 +10,10 @@ import pytest
 from ragloop.config import (ExperimentConfig, load_config, load_query_set,
                             parse_config_mapping, validate_config)
 from ragloop.errors import (ConfigValidationError, CorpusFormatError,
-                            RagLoopError)
+                            RagLoopError, RemoteServiceError)
 from ragloop.generation import SyntheticGenerator
 from ragloop.metrics import em
+from ragloop.retrieval import tokenize
 from ragloop.runner import (ExperimentRunner, emit_plot_series, read_jsonl,
                             run_experiment, sample_queries)
 from ragloop.synthdata import write_demo_dataset
@@ -394,14 +397,149 @@ def test_schedule_assigns_generators_per_iteration(tmp_path):
     assert inj == {"gen-a"}
 
 
+def _run_dir_bytes(config: ExperimentConfig) -> dict[str, bytes]:
+    root = Path(config.output_dir)
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_concurrency_cap_does_not_change_outputs(tmp_path):
-    serial = _config(tmp_path, out="serial")
-    threaded = _config(tmp_path, out="threaded", max_in_flight=4)
+    for name, extra in [("bm25", {}),
+                        ("dense-rerank-source", {"pipeline": "dense+rerank",
+                                                 "filter_mode": "source"})]:
+        serial = _config(tmp_path, out=f"{name}-serial", **extra)
+        threaded = _config(tmp_path, out=f"{name}-threaded", max_in_flight=4,
+                           **extra)
+        run_experiment(serial)
+        run_experiment(threaded)
+        assert _run_dir_bytes(serial) == _run_dir_bytes(threaded), name
+
+
+_MARKER = "synthweave"
+
+
+def _remote_routes(server, fault_token: str = "") -> set[str]:
+    """Deterministic chat, embeddings, score and detect routes. Chat
+    requests whose prompt holds `fault_token` are refused once with 429;
+    the returned set collects the refused payloads."""
+    faulted: set[str] = set()
+    lock = threading.Lock()
+
+    def chat(payload):
+        prompt = payload["messages"][0]["content"]
+        if fault_token and fault_token in prompt:
+            key = json.dumps(payload, sort_keys=True)
+            with lock:
+                first = key not in faulted
+                faulted.add(key)
+            if first:
+                return 429, {"error": "slow down"}, {"Retry-After": "0"}
+        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        question = prompt.split("Question:")[-1].split("\n")[0]
+        text = (f"This {_MARKER} note from {payload['model']} concerns "
+                f"{question} and cites {digest[:12]}.")
+        return {"choices": [{"message": {"content": text}}]}
+
+    def embeddings(payload):
+        rows = []
+        for text in payload["input"]:
+            vec = [0.0] * 8
+            for tok in tokenize(text):
+                h = int(hashlib.sha256(tok.encode("utf-8")).hexdigest()[:8], 16)
+                vec[h % 8] += 1.0 if h & 256 else -1.0
+            rows.append({"embedding": vec})
+        return {"data": rows}
+
+    def score(payload):
+        terms = set(tokenize(payload["query"]))
+        return {"scores": [len(terms & set(tokenize(p))) / max(len(terms), 1)
+                           for p in payload["passages"]]}
+
+    def detect(payload):
+        return {"results": [{"label": "generated" if _MARKER in t else "human",
+                             "score": 0.9} for t in payload["texts"]]}
+
+    server.routes.update({"/v1/chat": chat, "/v1/embeddings": embeddings,
+                          "/v1/score": score, "/v1/detect": detect})
+    return faulted
+
+
+def _remote_config(tmp_path, server, out, **overrides) -> ExperimentConfig:
+    raw = {
+        "pipeline": "dense+rerank", "filter_mode": "source", "offline": False,
+        "retries": 2, "backoff": 0.0,
+        "generators": [{"name": n, "kind": "remote", "model": n,
+                        "endpoint": server.url("/v1/chat")}
+                       for n in ("gen-a", "gen-b")],
+        "embedding_endpoint": server.url("/v1/embeddings"),
+        "rerank_endpoint": server.url("/v1/score"),
+        "detector_endpoint": server.url("/v1/detect"),
+    }
+    raw.update(overrides)
+    return _config(tmp_path, out=out, **raw)
+
+
+def test_remote_runs_match_across_concurrency_caps(tmp_path, keepalive_server):
+    # one query's topic ends in 3; the other eleven never fault
+    faulted = _remote_routes(keepalive_server, fault_token="3 site")
+    serial = _remote_config(tmp_path, keepalive_server, "serial")
     run_experiment(serial)
+    serial_requests = len(keepalive_server.requests)
+    assert keepalive_server.connections == 1
+    # baseline, injection and two iterations, two generators each
+    assert len(faulted) == 8
+    faulted.clear()
+    threaded = _remote_config(tmp_path, keepalive_server, "threaded",
+                              max_in_flight=4)
     run_experiment(threaded)
-    a = (Path(serial.output_dir) / "metrics.jsonl").read_text()
-    b = (Path(threaded.output_dir) / "metrics.jsonl").read_text()
-    assert a == b
+    assert len(faulted) == 8
+    assert _run_dir_bytes(serial) == _run_dir_bytes(threaded)
+    assert len(keepalive_server.requests) == 2 * serial_requests
+    # the pool reuses the serial run's connection and opens at most three more
+    assert keepalive_server.connections <= 4
+    paths = {path for path, _ in keepalive_server.requests}
+    assert paths == {"/v1/chat", "/v1/embeddings", "/v1/score", "/v1/detect"}
+    # every generation task survived its refused first attempt
+    for phase in ("iter-00", "iter-01", "iter-02"):
+        gens = read_jsonl(Path(threaded.output_dir) / "iterations" / phase
+                          / "generations.jsonl")
+        assert len(gens) == 2 * 12
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_failed_pooled_retrieval_aborts_the_run(tmp_path, stub_server,
+                                                max_in_flight):
+    _remote_routes(stub_server)
+    embed = stub_server.routes["/v1/embeddings"]
+    calls = {"n": 0}
+
+    def down_after_setup(payload):
+        calls["n"] += 1
+        return embed(payload) if calls["n"] == 1 else (503, {"error": "down"})
+
+    stub_server.routes["/v1/embeddings"] = down_after_setup
+    config = _remote_config(tmp_path, stub_server, "run", retries=1,
+                            max_in_flight=max_in_flight)
+    with pytest.raises(RemoteServiceError, match="failed after 2 attempts"):
+        run_experiment(config)
+    manifest = json.loads((Path(config.output_dir) / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "RemoteServiceError" in manifest["error"]
+    assert not (Path(config.output_dir) / "iterations").exists()
+
+
+@pytest.mark.parametrize("phase", ["iterations/iter-01/metrics.json",
+                                   "injection/meta.json"])
+def test_resume_refuses_phase_with_other_config_hash(tmp_path, phase):
+    config = _config(tmp_path)
+    run_experiment(config)
+    path = Path(config.output_dir) / phase
+    meta = json.loads(path.read_text())
+    meta["config_hash"] = "0" * 64
+    path.write_text(json.dumps(meta))
+    name = Path(phase).parent.name
+    with pytest.raises(RagLoopError, match=f"phase {name} .*different"):
+        run_experiment(config, resume=True)
 
 
 def test_judge_grading_produces_em_llm_fields(tmp_path):
