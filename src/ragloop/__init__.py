@@ -3,7 +3,7 @@ systems and machine-generated text."""
 
 from .config import ExperimentConfig, load_config, validate_config
 from .corpus import (CorpusSnapshot, Document, SourceTag, add_documents,
-                     ingest_seed_corpus, provenance_stats)
+                     ingest_seed_corpus)
 from .retrieval import (InvertedIndex, RankedList, VectorIndex, search_bm25,
                         search_dense, tokenize)
 from .runner import ExperimentRunner, emit_plot_series, run_experiment
@@ -14,6 +14,6 @@ __all__ = [
     "CorpusSnapshot", "Document", "ExperimentConfig", "ExperimentRunner",
     "InvertedIndex", "RankedList", "SourceTag", "VectorIndex",
     "add_documents", "emit_plot_series", "ingest_seed_corpus", "load_config",
-    "provenance_stats", "run_experiment", "search_bm25", "search_dense",
+    "run_experiment", "search_bm25", "search_dense",
     "tokenize", "validate_config", "__version__",
 ]

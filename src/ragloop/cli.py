@@ -8,8 +8,8 @@ import logging
 import sys
 from dataclasses import asdict
 
-from .config import load_config, validate_config
-from .errors import RagLoopError
+from .config import ensure_valid, load_config
+from .errors import ConfigValidationError, RagLoopError
 from .runner import ExperimentRunner, emit_plot_series, run_experiment
 from .synthdata import write_demo_dataset
 
@@ -89,15 +89,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(p)
             return 0
 
-        config = load_config(args.config, overrides=_overrides(args))
         if args.command == "validate":
-            problems = validate_config(config)
-            if problems:
-                for p in problems:
+            try:
+                ensure_valid(load_config(args.config, overrides=_overrides(args)))
+            except ConfigValidationError as exc:
+                for p in exc.problems:
                     print(f"INVALID: {p}", file=sys.stderr)
                 return 1
             print("configuration is valid")
             return 0
+        config = load_config(args.config, overrides=_overrides(args))
         if args.command == "baseline":
             runner = ExperimentRunner(config)
             artifacts = runner.run_baseline()

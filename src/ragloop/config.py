@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -19,17 +19,15 @@ from .filters import MarkerStubDetector, RemoteDetectorClient
 from .generation import (CONTEXT_SIZE, DEFAULT_STYLE_MARKER,
                          DEFAULT_TEMPERATURE, RemoteChatGenerator,
                          SyntheticGenerator)
+from .remote import Endpoint
 from .rerank import (FAILURE_ABORT, FAILURE_PASS_THROUGH,
                      LexicalOverlapBackend, RemoteScorerBackend)
 from .retrieval import HashedEmbedder, RemoteEmbeddingClient
 
 PIPELINES = ("bm25", "dense", "bm25+rerank", "dense+rerank")
 FILTER_MODES = ("none", "source", "diversity")
-
-DEFAULT_SAMPLE_SIZE = 200
-DEFAULT_ITERATIONS = 10
-DEFAULT_RERANK_DEPTH = 100
-DEFAULT_RETRIEVAL_DEPTH = 100
+# annotation of a numeric config field -> the Python types it accepts
+_NUMBER_TYPES = {"int": int, "float": (int, float)}
 
 
 @dataclass
@@ -101,10 +99,10 @@ class ExperimentConfig:
     query_set: str
     output_dir: str
     pipeline: str = "bm25"
-    sample_size: int = DEFAULT_SAMPLE_SIZE
-    iterations: int = DEFAULT_ITERATIONS
-    retrieval_depth: int = DEFAULT_RETRIEVAL_DEPTH
-    rerank_depth: int = DEFAULT_RERANK_DEPTH
+    sample_size: int = 200
+    iterations: int = 10
+    retrieval_depth: int = 100
+    rerank_depth: int = 100
     rerank_failure_policy: str = FAILURE_ABORT
     generators: list[GeneratorSpec] = field(default_factory=list)
     schedule: list[ScheduleEntry] = field(default_factory=list)
@@ -172,51 +170,46 @@ class ExperimentConfig:
 
     # ---- backend construction -------------------------------------------
 
-    def _key(self, env_name: str) -> str | None:
-        return os.environ.get(env_name) if env_name else None
+    def _endpoint(self, url: str, model: str, key_env: str) -> Endpoint:
+        return Endpoint(url, model=model,
+                        api_key=os.environ.get(key_env) if key_env else None,
+                        timeout=self.timeout, retries=self.retries,
+                        backoff=self.backoff)
 
     def build_generator(self, spec: GeneratorSpec):
         if spec.kind == "synthetic":
             return SyntheticGenerator(name=spec.name, accuracy=spec.accuracy,
                                       marker=spec.marker, seed=self.seed)
         return RemoteChatGenerator(
-            name=spec.name, endpoint=spec.endpoint, model=spec.model,
-            temperature=spec.temperature, timeout=self.timeout,
-            retries=self.retries, backoff=self.backoff,
-            api_key=self._key(spec.api_key_env))
+            spec.name, self._endpoint(spec.endpoint, spec.model, spec.api_key_env),
+            temperature=spec.temperature)
 
     def build_embedder(self):
         if self.embedding_endpoint:
-            return RemoteEmbeddingClient(
-                endpoint=self.embedding_endpoint, model=self.embedding_model,
-                timeout=self.timeout, retries=self.retries, backoff=self.backoff,
-                api_key=self._key(self.embedding_api_key_env))
+            return RemoteEmbeddingClient(self._endpoint(
+                self.embedding_endpoint, self.embedding_model,
+                self.embedding_api_key_env))
         return HashedEmbedder(seed=self.seed)
 
     def build_rerank_backend(self):
         if self.rerank_endpoint:
-            return RemoteScorerBackend(
-                endpoint=self.rerank_endpoint, model=self.rerank_model,
-                timeout=self.timeout, retries=self.retries, backoff=self.backoff,
-                api_key=self._key(self.rerank_api_key_env))
+            return RemoteScorerBackend(self._endpoint(
+                self.rerank_endpoint, self.rerank_model, self.rerank_api_key_env))
         return LexicalOverlapBackend()
 
     def build_detector(self):
         if self.detector_endpoint:
-            return RemoteDetectorClient(
-                endpoint=self.detector_endpoint, model=self.detector_model,
-                timeout=self.timeout, retries=self.retries, backoff=self.backoff,
-                api_key=self._key(self.detector_api_key_env))
+            return RemoteDetectorClient(self._endpoint(
+                self.detector_endpoint, self.detector_model,
+                self.detector_api_key_env))
         marker = self.generators[0].marker if self.generators else DEFAULT_STYLE_MARKER
         return MarkerStubDetector(marker=marker)
 
     def build_judge(self):
-        name = self.judge_generator or (self.generators[0].name
-                                        if self.generators else "")
-        for spec in self.generators:
-            if spec.name == name:
-                return self.build_generator(spec)
-        raise ConfigValidationError([f"judge generator {name!r} is not configured"])
+        # validate_config rejects a judge name that is not configured
+        name = self.judge_generator or self.generators[0].name
+        return self.build_generator(next(g for g in self.generators
+                                         if g.name == name))
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -228,33 +221,45 @@ def _parse_span(text: str) -> tuple[int, int]:
 
 
 def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    """Build a config; every unreadable entry or key is reported at once."""
     data = dict(raw)
+    problems: list[str] = []
     gen_specs = []
-    for g in data.pop("generators", []):
-        gen_specs.append(GeneratorSpec(
-            name=str(g["name"]), kind=g.get("kind", "synthetic"),
-            accuracy=float(g.get("accuracy", 1.0)),
-            marker=g.get("marker", DEFAULT_STYLE_MARKER),
-            endpoint=g.get("endpoint", ""), model=g.get("model", ""),
-            temperature=float(g.get("temperature",
-                                    data.get("temperature", DEFAULT_TEMPERATURE))),
-            api_key_env=g.get("api_key_env", "")))
+    for number, g in enumerate(data.pop("generators", None) or [], start=1):
+        try:
+            gen_specs.append(GeneratorSpec(
+                name=str(g["name"]), kind=g.get("kind", "synthetic"),
+                accuracy=float(g.get("accuracy", 1.0)),
+                marker=g.get("marker", DEFAULT_STYLE_MARKER),
+                endpoint=g.get("endpoint", ""), model=g.get("model", ""),
+                temperature=float(g.get("temperature",
+                                        data.get("temperature", DEFAULT_TEMPERATURE))),
+                api_key_env=g.get("api_key_env", "")))
+        except (KeyError, TypeError, ValueError) as exc:
+            problems.append(f"generator entry {number} is malformed: {exc!r}")
     schedule = []
-    for s in data.pop("schedule", []):
-        first, last = _parse_span(str(s["iterations"]))
-        schedule.append(ScheduleEntry(first=first, last=last,
-                                      generators=[str(n) for n in s["generators"]]))
+    for number, s in enumerate(data.pop("schedule", None) or [], start=1):
+        try:
+            first, last = _parse_span(str(s["iterations"]))
+            schedule.append(ScheduleEntry(
+                first=first, last=last, generators=[str(n) for n in s["generators"]]))
+        except (KeyError, TypeError, ValueError) as exc:
+            problems.append(f"schedule entry {number} is malformed: {exc!r}")
 
     def _resolve(p: str) -> str:
         if base_dir is not None and p and not Path(p).is_absolute():
             return str(base_dir / p)
         return p
 
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigValidationError(
-            [f"unknown configuration key {k!r}" for k in sorted(unknown)])
+    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    for key in sorted(data):
+        want = _NUMBER_TYPES.get(known.get(key))
+        if key not in known:
+            problems.append(f"unknown configuration key {key!r}")
+        elif want and (isinstance(data[key], bool) or not isinstance(data[key], want)):
+            problems.append(f"{key} must be {known[key]}, got {data[key]!r}")
+    if problems:
+        raise ConfigValidationError(problems)
     config = ExperimentConfig(generators=gen_specs, schedule=schedule, **data)
     config.seed_corpus = _resolve(config.seed_corpus)
     config.query_set = _resolve(config.query_set)
@@ -342,6 +347,17 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         problems.append("max_failure_fraction must be in (0, 1]")
     if config.max_in_flight < 1:
         problems.append("max_in_flight must be >= 1")
+    if not 0.0 <= config.diversity_threshold <= 1.0:
+        problems.append("diversity_threshold must be in [0, 1]")
+    if not config.timeout > 0.0:
+        problems.append("timeout must be > 0")
+    if config.retries < 0:
+        problems.append("retries must be >= 0")
+    if not config.backoff >= 0.0:
+        problems.append("backoff must be >= 0")
+    if config.judge_generator and config.judge_generator not in names:
+        problems.append(f"judge_generator {config.judge_generator!r} is not a "
+                        "configured generator")
     return problems
 
 

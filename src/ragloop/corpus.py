@@ -276,35 +276,3 @@ def add_documents(snapshot: CorpusSnapshot, docs: list[Document]) -> CorpusSnaps
     store.head_version += 1
     return CorpusSnapshot(store, size=len(store.docs),
                           version=store.head_version, counts=counts)
-
-
-def provenance_stats(snapshot: CorpusSnapshot) -> dict[str, int]:
-    """Document count per source label; sums to the corpus size."""
-    return snapshot.counts_by_source()
-
-
-def export_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
-    """Write the snapshot in the seed format plus provenance fields."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in snapshot.iter_documents():
-            fh.write(json.dumps(doc.to_dict(), sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-
-
-def load_exported_snapshot(path: str | Path) -> CorpusSnapshot:
-    """Rebuild a snapshot from an export_snapshot file."""
-    path = Path(path)
-    docs: list[Document] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                docs.append(Document.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise CorpusFormatError(f"invalid exported record: {exc}",
-                                        path=str(path), line_no=line_no) from exc
-    if not docs:
-        raise CorpusFormatError("empty snapshot file", path=str(path))
-    return _snapshot_from_documents(docs)

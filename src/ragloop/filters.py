@@ -14,7 +14,7 @@ from .corpus import CorpusSnapshot
 from .errors import RemoteServiceError
 from .generation import CONTEXT_SIZE, DEFAULT_STYLE_MARKER
 from .metrics import NgramProfile, ngram_profile, self_bleu
-from .remote import post_json_with_retries
+from .remote import Endpoint, post_json_with_retries
 from .retrieval import RankEntry, RankedList
 
 logger = logging.getLogger(__name__)
@@ -42,27 +42,19 @@ class RemoteDetectorClient:
     probability of machine origin reaches 0.5.
     """
 
-    def __init__(self, endpoint: str, model: str = "", timeout: float = 30.0,
-                 retries: int = 3, backoff: float = 1.0,
-                 api_key: str | None = None):
+    def __init__(self, endpoint: Endpoint):
         self.endpoint = endpoint
-        self.model = model
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.api_key = api_key
 
     def classify(self, texts: list[str]) -> list[bool]:
         payload: dict = {"texts": list(texts)}
-        if self.model:
-            payload["model"] = self.model
-        reply = post_json_with_retries(
-            self.endpoint, payload, timeout=self.timeout, retries=self.retries,
-            backoff=self.backoff, api_key=self.api_key)
+        if self.endpoint.model:
+            payload["model"] = self.endpoint.model
+        reply = post_json_with_retries(self.endpoint, payload)
         if isinstance(reply, dict):
             reply = reply.get("results")
         if not isinstance(reply, list) or len(reply) != len(texts):
-            raise RemoteServiceError(f"malformed detector reply from {self.endpoint}")
+            raise RemoteServiceError(
+                f"malformed detector reply from {self.endpoint.url}")
         labels: list[bool] = []
         for row in reply:
             label = str(row.get("label", "")).lower()

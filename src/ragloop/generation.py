@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import GenerationFailure, RemoteServiceError
 from .metrics import em
-from .remote import post_json_with_retries
+from .remote import Endpoint, post_json_with_retries
 from .retrieval import tokenize
 
 logger = logging.getLogger(__name__)
@@ -309,43 +309,32 @@ class SyntheticGenerator:
 class RemoteChatGenerator:
     """Client for a messages-based chat-completions endpoint."""
 
-    def __init__(self, name: str, endpoint: str, model: str,
-                 temperature: float = DEFAULT_TEMPERATURE, timeout: float = 60.0,
-                 retries: int = 3, backoff: float = 1.0,
-                 api_key: str | None = None):
+    def __init__(self, name: str, endpoint: Endpoint,
+                 temperature: float = DEFAULT_TEMPERATURE):
         self.name = name
         self.endpoint = endpoint
-        self.model = model
         self.temperature = temperature
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.api_key = api_key
 
     def generate(self, request: GenerationRequest) -> str:
         payload = {
-            "model": self.model,
+            "model": self.endpoint.model,
             "temperature": self.temperature,
             "messages": [{"role": "user", "content": request.prompt}],
         }
-        reply = post_json_with_retries(
-            self.endpoint, payload, timeout=self.timeout, retries=self.retries,
-            backoff=self.backoff, api_key=self.api_key)
+        reply = post_json_with_retries(self.endpoint, payload)
         try:
             text = reply["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise RemoteServiceError(
-                f"malformed chat reply from {self.endpoint}: {exc}") from exc
+                f"malformed chat reply from {self.endpoint.url}: {exc}") from exc
         if not isinstance(text, str) or not text.strip():
-            raise RemoteServiceError(f"empty chat reply from {self.endpoint}")
+            raise RemoteServiceError(f"empty chat reply from {self.endpoint.url}")
         return text
 
 
-def generate(backend, request: GenerationRequest | str) -> str:
+def generate(backend, request: GenerationRequest) -> str:
     """Produce raw answer text from a backend; raises GenerationFailure when
     the backend cannot deliver."""
-    if isinstance(request, str):
-        request = GenerationRequest(prompt=request)
     try:
         text = backend.generate(request)
     except RemoteServiceError as exc:

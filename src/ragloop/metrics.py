@@ -1,6 +1,6 @@
 """Measurement machinery: retrieval accuracy, answer grading, dominance,
-diversity, source shares, query-state transitions, rank tracking,
-correlation, and paired significance."""
+diversity, source shares, query-state transitions, rank tracking and
+correlation."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from .corpus import CorpusSnapshot, HUMAN
 from .retrieval import RankedList, tokenize
 
 _ARTICLES = {"a", "an", "the"}
-
-BOOTSTRAP_RESAMPLES = 10_000
 
 
 def normalize_answer(text: str) -> list[str]:
@@ -268,31 +266,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("correlation undefined for constant input")
     return float(np.corrcoef(xs, ys)[0, 1])
-
-
-def significance(baseline_hits: Mapping, treatment_hits: Mapping,
-                 alpha: float = 0.05, resamples: int = BOOTSTRAP_RESAMPLES,
-                 seed: int = 0) -> tuple[float, bool]:
-    """Paired bootstrap over per-query hit differences, two-sided.
-
-    The p-value is 2 * min(P(mean diff* <= 0), P(mean diff* >= 0)) over the
-    resampled means, clamped to [0, 1].
-    """
-    if set(baseline_hits.keys()) != set(treatment_hits.keys()):
-        raise ValueError("significance requires identical query sets")
-    keys = sorted(baseline_hits.keys())
-    diffs = np.asarray([treatment_hits[q] - baseline_hits[q] for q in keys],
-                       dtype=np.float64)
-    n = len(diffs)
-    if n == 0:
-        raise ValueError("significance requires at least one query")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(resamples, n))
-    means = diffs[idx].mean(axis=1)
-    p_low = float(np.mean(means <= 0.0))
-    p_high = float(np.mean(means >= 0.0))
-    p_value = min(1.0, 2.0 * min(p_low, p_high))
-    return p_value, p_value < alpha
 
 
 @dataclass

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -61,20 +60,13 @@ def default_phrase_list() -> PhraseList:
     return PhraseList(_phrase_lines(ref.read_text(encoding="utf-8")))
 
 
-@dataclass
-class CleanResult:
-    text: str
-    removed: int
-    kept_original: bool
-
-
-def clean_detailed(text: str, phrases: PhraseList | None = None) -> CleanResult:
-    """Remove every phrase occurrence; report what happened.
+def clean(text: str, phrases: PhraseList | None = None) -> str:
+    """Remove every phrase occurrence.
 
     Each match is deleted together with any directly following commas and
-    whitespace, then whitespace is normalized. Cleaning that would empty
-    the text keeps the original instead (flagged), so a document is never
-    destroyed outright.
+    whitespace, then whitespace is normalized. Text with no match comes
+    back unchanged. Cleaning that would empty the text keeps the original
+    instead, so a document is never destroyed outright.
     """
     plist = phrases if phrases is not None else default_phrase_list()
     out = text
@@ -94,13 +86,6 @@ def clean_detailed(text: str, phrases: PhraseList | None = None) -> CleanResult:
         out = _WS_RE.sub(" ", out)
     out = _DANGLING_HEAD_RE.sub("", out)
     out = _WS_RE.sub(" ", out).strip()
-    if text.strip() and not out:
-        return CleanResult(text=text, removed=removed, kept_original=True)
-    if removed == 0:
-        return CleanResult(text=text, removed=0, kept_original=False)
-    return CleanResult(text=out, removed=removed, kept_original=False)
-
-
-def clean(text: str, phrases: PhraseList | None = None) -> str:
-    """Cleaned text; see clean_detailed for the exact rules."""
-    return clean_detailed(text, phrases).text
+    if removed == 0 or (text.strip() and not out):
+        return text
+    return out

@@ -8,6 +8,7 @@ import functools
 import logging
 import random
 import time
+from dataclasses import dataclass
 
 import requests
 
@@ -30,6 +31,19 @@ _SESSION.trust_env = False
 # Jitter spreads retries from concurrent callers apart in time; it is
 # unseeded and feeds nothing that a run writes.
 _JITTER = random.Random()
+
+
+@dataclass(frozen=True)
+class Endpoint:
+    """One remote service: its URL, the model its payloads name (empty:
+    none), its bearer key, and the retry budget spent on each call."""
+
+    url: str
+    model: str = ""
+    api_key: str | None = None
+    timeout: float = 30.0
+    retries: int = 3
+    backoff: float = 1.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -63,27 +77,27 @@ def _backoff_delay(backoff: float, attempt: int) -> float:
     return delay / 2 + _JITTER.uniform(0.0, delay / 2)
 
 
-def post_json_with_retries(url: str, payload: dict, *, timeout: float = 30.0,
-                           retries: int = 3, backoff: float = 1.0,
-                           api_key: str | None = None):
-    """POST a JSON payload; retry transient failures with backoff.
+def post_json_with_retries(endpoint: Endpoint, payload: dict):
+    """POST a JSON payload to `endpoint`; retry transient failures with
+    backoff.
 
     Transient means a connection error or timeout, a reply that is not
     JSON, 5xx, 408 or 429. A retryable reply's Retry-After (seconds) sets
     the wait, so `Retry-After: 0` retries at once; otherwise the wait is
-    exponential backoff. `retries` counts additional attempts after the
-    first. Any other 4xx raises RemoteRequestRejected at once; an
+    exponential backoff. `endpoint.retries` counts additional attempts
+    after the first. Any other 4xx raises RemoteRequestRejected at once; an
     exhausted budget raises RemoteServiceError.
     """
+    url = endpoint.url
     headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    attempts = retries + 1
+    if endpoint.api_key:
+        headers["Authorization"] = f"Bearer {endpoint.api_key}"
+    attempts = endpoint.retries + 1
     last_error: Exception | None = None
     for attempt in range(attempts):
         delay: float | None = None
         try:
-            resp = _SESSION.post(url, json=payload, timeout=timeout,
+            resp = _SESSION.post(url, json=payload, timeout=endpoint.timeout,
                                  headers=headers, **_environment(url))
             status = resp.status_code
             if status < 400:
@@ -98,7 +112,7 @@ def post_json_with_retries(url: str, payload: dict, *, timeout: float = 30.0,
             last_error = exc
         if attempt + 1 < attempts:
             if delay is None:
-                delay = _backoff_delay(backoff, attempt)
+                delay = _backoff_delay(endpoint.backoff, attempt)
             logger.warning("retrying %s after failure (%s), attempt %d/%d",
                            url, last_error, attempt + 1, attempts)
             if delay > 0:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .corpus import CorpusSnapshot
 from .errors import RemoteServiceError
-from .remote import post_json_with_retries
+from .remote import Endpoint, post_json_with_retries
 from .retrieval import RankedList, RankEntry, tokenize
 
 logger = logging.getLogger(__name__)
@@ -28,7 +28,6 @@ class LexicalOverlapBackend:
     tokens.
     """
 
-    name = "lexical-overlap"
     reads_tokens = True
 
     def score(self, query: str,
@@ -52,33 +51,23 @@ class RemoteScorerBackend:
 
     reads_tokens = False
 
-    def __init__(self, endpoint: str, model: str = "", batch_size: int = 32,
-                 timeout: float = 30.0, retries: int = 3, backoff: float = 1.0,
-                 api_key: str | None = None):
-        self.name = f"remote-scorer:{model or endpoint}"
+    def __init__(self, endpoint: Endpoint, batch_size: int = 32):
         self.endpoint = endpoint
-        self.model = model
         self.batch_size = batch_size
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.api_key = api_key
 
     def score(self, query: str, passages: list[str]) -> list[float]:
         scores: list[float] = []
         for start in range(0, len(passages), self.batch_size):
             batch = passages[start:start + self.batch_size]
             payload = {"query": query, "passages": batch}
-            if self.model:
-                payload["model"] = self.model
-            reply = post_json_with_retries(
-                self.endpoint, payload, timeout=self.timeout,
-                retries=self.retries, backoff=self.backoff, api_key=self.api_key)
+            if self.endpoint.model:
+                payload["model"] = self.endpoint.model
+            reply = post_json_with_retries(self.endpoint, payload)
             if isinstance(reply, dict):
                 reply = reply.get("scores")
             if not isinstance(reply, list) or len(reply) != len(batch):
                 raise RemoteServiceError(
-                    f"malformed scorer reply from {self.endpoint}")
+                    f"malformed scorer reply from {self.endpoint.url}")
             scores.extend(float(s) for s in reply)
         return scores
 

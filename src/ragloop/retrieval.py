@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import RemoteServiceError
-from .remote import post_json_with_retries
+from .remote import Endpoint, post_json_with_retries
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -39,9 +39,6 @@ class RankEntry:
     doc_id: str
     score: float
     rank: int
-
-    def to_list(self) -> list:
-        return [self.doc_id, self.score, self.rank]
 
 
 @dataclass
@@ -82,15 +79,8 @@ class RankedList:
         return {
             "query_id": self.query_id,
             "iteration": self.iteration,
-            "entries": [e.to_list() for e in self.entries],
+            "entries": [[e.doc_id, e.score, e.rank] for e in self.entries],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankedList":
-        entries = [RankEntry(doc_id, float(score), int(rank))
-                   for doc_id, score, rank in d["entries"]]
-        return cls(query_id=d["query_id"], iteration=int(d["iteration"]),
-                   entries=entries)
 
 
 def _id_rank(doc_ids: list[str]) -> np.ndarray:
@@ -128,9 +118,6 @@ class InvertedIndex:
     @property
     def avg_doc_length(self) -> float:
         return self.total_length / self.doc_count if self.doc_count else 0.0
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._idx_of
 
     def add(self, docs: list[Document]) -> None:
         for doc in docs:
@@ -261,27 +248,18 @@ class RemoteEmbeddingClient:
     {"data": [{"embedding": [...]}, ...]} reply.
     """
 
-    def __init__(self, endpoint: str, model: str, timeout: float = 30.0,
-                 retries: int = 3, backoff: float = 1.0,
-                 api_key: str | None = None):
+    def __init__(self, endpoint: Endpoint):
         self.endpoint = endpoint
-        self.model = model
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.api_key = api_key
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        payload = {"model": self.model, "input": list(texts)}
-        reply = post_json_with_retries(
-            self.endpoint, payload, timeout=self.timeout, retries=self.retries,
-            backoff=self.backoff, api_key=self.api_key)
+        payload = {"model": self.endpoint.model, "input": list(texts)}
+        reply = post_json_with_retries(self.endpoint, payload)
         try:
             rows = reply["data"]
             vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in rows]
         except (KeyError, TypeError) as exc:
             raise RemoteServiceError(
-                f"malformed embeddings reply from {self.endpoint}: {exc}") from exc
+                f"malformed embeddings reply from {self.endpoint.url}: {exc}") from exc
         if len(vectors) != len(texts):
             raise RemoteServiceError(
                 f"embeddings reply has {len(vectors)} rows for {len(texts)} inputs")
@@ -295,8 +273,8 @@ class VectorIndex:
     InvertedIndex.
     """
 
-    def __init__(self, dim: int | None = None):
-        self.dim = dim
+    def __init__(self):
+        self.dim: int | None = None
         self.doc_ids: list[str] = []
         self._idx_of: dict[str, int] = {}
         self._vectors: list[np.ndarray] = []
@@ -306,9 +284,6 @@ class VectorIndex:
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._idx_of
 
     def add_vectors(self, items: list[tuple[str, np.ndarray]]) -> None:
         for doc_id, vec in items:
@@ -332,7 +307,8 @@ class VectorIndex:
             self._caches = None
 
     def add_documents(self, docs: list[Document], embedder) -> None:
-        vectors = embedder.embed([d.text for d in docs])
+        # an empty commit must not cost a (remote) embeddings request
+        vectors = embedder.embed([d.text for d in docs]) if docs else []
         self.add_vectors(list(zip([d.doc_id for d in docs], vectors)))
 
     def _ensure_caches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -121,7 +121,6 @@ class IterationArtifacts:
     contexts: dict[str, FilterResult]
     records: list[GenerationRecord]
     metrics: M.IterationMetrics
-    corpus_version: int
 
 
 class ExperimentRunner:
@@ -414,7 +413,7 @@ class ExperimentRunner:
                                      crn_by_query, fr_by_query)
         artifacts = IterationArtifacts(
             iteration=iteration, ranked=ranked, contexts=contexts,
-            records=records, metrics=bundle, corpus_version=self.corpus.version)
+            records=records, metrics=bundle)
         self._persist_phase(iteration, artifacts, eval_records, new_docs)
         return artifacts, new_docs
 
@@ -572,7 +571,6 @@ class ExperimentRunner:
             raise ValueError("iteration must be >= 1")
         artifacts, new_docs = self._run_phase(iteration, em_prev=em_prev)
         self._commit(new_docs)
-        artifacts.corpus_version = self.corpus.version
         return artifacts
 
 
@@ -678,17 +676,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_summary(out_dir: Path, all_metrics: list[M.IterationMetrics]) -> Path:
-    rows = ["\t".join(SUMMARY_COLUMNS)]
-    for m in all_metrics:
-        human50 = m.source_share_top50.get("human", 0.0)
-        rows.append("\t".join([
-            str(m.iteration), _fmt(m.acc_at_5), _fmt(m.acc_at_20),
-            _fmt(m.em_mean), _fmt(m.dominance_p), _fmt(m.self_bleu_top5),
-            _fmt(human50), _fmt(m.transitions_01), _fmt(m.transitions_10)]))
-    path = out_dir / SUMMARY_FILE
-    _atomic_write(path, "".join(r + "\n" for r in rows))
+def _write_tsv(path: Path, header, rows) -> Path:
+    lines = ["\t".join(header)]
+    lines.extend("\t".join(_fmt(v) for v in row) for row in rows)
+    _atomic_write(path, "".join(ln + "\n" for ln in lines))
     return path
+
+
+def write_summary(out_dir: Path, all_metrics: list[M.IterationMetrics]) -> Path:
+    return _write_tsv(out_dir / SUMMARY_FILE, SUMMARY_COLUMNS, [
+        [m.iteration, m.acc_at_5, m.acc_at_20, m.em_mean, m.dominance_p,
+         m.self_bleu_top5, m.source_share_top50.get("human", 0.0),
+         m.transitions_01, m.transitions_10] for m in all_metrics])
 
 
 def emit_plot_series(run_dir: str | Path) -> list[Path]:
@@ -727,11 +726,7 @@ def emit_plot_series(run_dir: str | Path) -> list[Path]:
     paths = []
 
     def emit(name: str, header: list[str], rows: list[list]) -> None:
-        lines = ["\t".join(header)]
-        lines.extend("\t".join(_fmt(v) for v in row) for row in rows)
-        path = series_dir / name
-        _atomic_write(path, "".join(ln + "\n" for ln in lines))
-        paths.append(path)
+        paths.append(_write_tsv(series_dir / name, header, rows))
 
     emit("series_accuracy.tsv",
          ["iteration", "acc_at_5", "acc_at_20", "em_mean"],

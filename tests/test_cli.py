@@ -49,6 +49,17 @@ def test_cli_validate_reports_problems(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().err
 
 
+def test_cli_validate_reports_unreadable_entries(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, generators=[{"kind": "synthetic"}],
+        schedule=[{"iterations": "one-two", "generators": ["gen-a"]}])
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("INVALID: ") for line in err)
+    assert "generator entry 1 is malformed: KeyError('name')" in err[0]
+    assert "schedule entry 1 is malformed" in err[1]
+
+
 def test_cli_baseline(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["baseline", "--config", str(cfg)]) == 0

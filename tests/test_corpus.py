@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from conftest import generated_doc, human_doc, write_jsonl_file
+from conftest import generated_doc, human_doc, snapshot_of, write_jsonl_file
 from ragloop.corpus import (Document, DuplicateDocumentError, HUMAN_SOURCE,
-                            SourceTag, add_documents, export_snapshot,
-                            generated_doc_id, ingest_seed_corpus,
-                            load_exported_snapshot, provenance_stats)
+                            SourceTag, add_documents, generated_doc_id,
+                            ingest_seed_corpus)
 from ragloop.errors import CorpusFormatError
 from ragloop.retrieval import tokenize
 
@@ -116,7 +115,7 @@ def test_provenance_stats_recount(tmp_path):
     snap = add_documents(snap, [
         generated_doc(generated_doc_id("gen-A", 1, f"q{i}"), "text a",
                       "gen-A", f"q{i}") for i in range(5)])
-    stats = provenance_stats(snap)
+    stats = snap.counts_by_source()
     assert stats == {"human": 10, "gen-A": 5}
     # recount property against brute force
     brute = {}
@@ -129,7 +128,7 @@ def test_provenance_stats_two_generators_sum(tmp_path):
     snap = _seed(tmp_path, 4)
     snap = add_documents(snap, [generated_doc("a-1", "t", "gen-A", "q1")])
     snap = add_documents(snap, [generated_doc("b-1", "t", "gen-B", "q1", 2)])
-    stats = provenance_stats(snap)
+    stats = snap.counts_by_source()
     assert set(stats) == {"human", "gen-A", "gen-B"}
     assert sum(stats.values()) == len(snap)
 
@@ -170,22 +169,6 @@ def test_monotone_growth_random_commits(tmp_path):
         snap = add_documents(snap, docs)
         sizes.append(len(snap))
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-    assert snap.counts_by_source() == provenance_stats(snap)
-
-
-def test_export_roundtrip(tmp_path):
-    snap = _seed(tmp_path, 3)
-    snap = add_documents(snap, [generated_doc("g1", "gen text", "gen", "q9")])
-    out = tmp_path / "export.jsonl"
-    export_snapshot(snap, out)
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
-    assert all({"doc_id", "text", "source", "iteration_added"} <= set(r)
-               for r in rows)
-    reloaded = load_exported_snapshot(out)
-    assert len(reloaded) == len(snap)
-    assert reloaded.get("g1").source.generator_name == "gen"
-    assert reloaded.get("g1").origin_query_id == "q9"
-    assert provenance_stats(reloaded) == provenance_stats(snap)
 
 
 # ---- cached tokens ----------------------------------------------------------
@@ -202,9 +185,9 @@ def test_tokens_match_tokenize_after_ingest_add_and_reload(tmp_path):
         generated_doc("g1", "Gen text: the SAME words, the same words!", "g", "q1"),
         generated_doc("g2", "Ünïcode café_bar 42", "g", "q2")])
     _assert_tokens_match_text(snap)
-    out = tmp_path / "export.jsonl"
-    export_snapshot(snap, out)
-    _assert_tokens_match_text(load_exported_snapshot(out))
+    reloaded = snapshot_of([Document.from_dict(json.loads(json.dumps(d.to_dict())))
+                            for d in snap.iter_documents()])
+    _assert_tokens_match_text(reloaded)
 
 
 def test_tokens_are_interned_per_store(tmp_path):

@@ -10,6 +10,7 @@ from ragloop.errors import GenerationFailure, RemoteServiceError
 from ragloop.filters import RemoteDetectorClient
 from ragloop.generation import (GenerationRequest, RemoteChatGenerator,
                                 generate, judge_support)
+from ragloop.remote import Endpoint
 from ragloop.retrieval import RemoteEmbeddingClient, VectorIndex
 
 
@@ -22,9 +23,8 @@ def test_chat_generator_roundtrip(stub_server):
             "content": f"reply to: {payload['messages'][0]['content'][:20]}"}}]}
 
     stub_server.routes["/v1/chat"] = chat
-    backend = RemoteChatGenerator(name="remote-1",
-                                  endpoint=stub_server.url("/v1/chat"),
-                                  model="test-model", retries=0)
+    backend = RemoteChatGenerator(
+        "remote-1", Endpoint(stub_server.url("/v1/chat"), "test-model", retries=0))
     text = generate(backend, GenerationRequest(prompt="say something"))
     assert text == "reply to: say something"
 
@@ -32,8 +32,8 @@ def test_chat_generator_roundtrip(stub_server):
 def test_chat_generator_sends_api_key(stub_server):
     stub_server.routes["/v1/chat"] = \
         lambda payload: {"choices": [{"message": {"content": "ok"}}]}
-    backend = RemoteChatGenerator(name="r", endpoint=stub_server.url("/v1/chat"),
-                                  model="m", retries=0, api_key="sk-secret")
+    backend = RemoteChatGenerator("r", Endpoint(
+        stub_server.url("/v1/chat"), "m", api_key="sk-secret", retries=0))
     generate(backend, GenerationRequest(prompt="x"))
     assert stub_server.auth_headers == ["Bearer sk-secret"]
 
@@ -46,8 +46,8 @@ def test_chat_generator_retries_then_fails(stub_server):
         return 500, {"error": "overloaded"}
 
     stub_server.routes["/v1/chat"] = flaky
-    backend = RemoteChatGenerator(name="r", endpoint=stub_server.url("/v1/chat"),
-                                  model="m", retries=2, backoff=0.01)
+    backend = RemoteChatGenerator("r", Endpoint(
+        stub_server.url("/v1/chat"), "m", retries=2, backoff=0.01))
     with pytest.raises(GenerationFailure):
         generate(backend, GenerationRequest(prompt="x"))
     assert calls["n"] == 3  # initial try plus two retries
@@ -55,8 +55,8 @@ def test_chat_generator_retries_then_fails(stub_server):
 
 def test_chat_generator_malformed_reply(stub_server):
     stub_server.routes["/v1/chat"] = lambda payload: {"unexpected": True}
-    backend = RemoteChatGenerator(name="r", endpoint=stub_server.url("/v1/chat"),
-                                  model="m", retries=0)
+    backend = RemoteChatGenerator(
+        "r", Endpoint(stub_server.url("/v1/chat"), "m", retries=0))
     with pytest.raises(GenerationFailure):
         generate(backend, GenerationRequest(prompt="x"))
 
@@ -68,9 +68,8 @@ def test_chat_generator_as_judge(stub_server):
         return {"choices": [{"message": {"content": next(replies)}}]}
 
     stub_server.routes["/v1/chat"] = chat
-    backend = RemoteChatGenerator(name="judge",
-                                  endpoint=stub_server.url("/v1/chat"),
-                                  model="m", retries=0)
+    backend = RemoteChatGenerator(
+        "judge", Endpoint(stub_server.url("/v1/chat"), "m", retries=0))
     assert judge_support(backend, "q", "resp", "ans") == ("yes", False)
     verdict, flagged = judge_support(backend, "q", "resp", "ans")
     assert verdict == "no" and flagged
@@ -83,8 +82,8 @@ def test_embedding_client_roundtrip(stub_server):
                          for t in payload["input"]]}
 
     stub_server.routes["/v1/embeddings"] = embed
-    client = RemoteEmbeddingClient(endpoint=stub_server.url("/v1/embeddings"),
-                                   model="embedder-1", retries=0)
+    client = RemoteEmbeddingClient(
+        Endpoint(stub_server.url("/v1/embeddings"), "embedder-1", retries=0))
     vectors = client.embed(["ab", "abcd"])
     assert np.allclose(vectors[0], [2.0, 1.0])
     assert np.allclose(vectors[1], [4.0, 1.0])
@@ -96,8 +95,8 @@ def test_embedding_client_feeds_vector_index(stub_server):
                          for t in payload["input"]]}
 
     stub_server.routes["/v1/embeddings"] = embed
-    client = RemoteEmbeddingClient(endpoint=stub_server.url("/v1/embeddings"),
-                                   model="m", retries=0)
+    client = RemoteEmbeddingClient(
+        Endpoint(stub_server.url("/v1/embeddings"), "m", retries=0))
     from conftest import human_doc
     vindex = VectorIndex()
     vindex.add_documents([human_doc("d1", "apple pie"),
@@ -106,19 +105,28 @@ def test_embedding_client_feeds_vector_index(stub_server):
     assert results[0][0] == "d1"
 
 
+def test_empty_commit_sends_no_embeddings_request(stub_server):
+    stub_server.routes["/v1/embeddings"] = lambda payload: {"data": []}
+    client = RemoteEmbeddingClient(
+        Endpoint(stub_server.url("/v1/embeddings"), "m", retries=0))
+    vindex = VectorIndex()
+    vindex.add_documents([], client)
+    assert stub_server.requests == [] and vindex.doc_count == 0
+
+
 def test_embedding_client_wrong_row_count(stub_server):
     stub_server.routes["/v1/embeddings"] = \
         lambda payload: {"data": [{"embedding": [1.0]}]}
-    client = RemoteEmbeddingClient(endpoint=stub_server.url("/v1/embeddings"),
-                                   model="m", retries=0)
+    client = RemoteEmbeddingClient(
+        Endpoint(stub_server.url("/v1/embeddings"), "m", retries=0))
     with pytest.raises(RemoteServiceError, match="rows"):
         client.embed(["a", "b"])
 
 
 def test_embedding_client_retry_budget_exhausted(stub_server):
     stub_server.routes["/v1/embeddings"] = lambda payload: (500, {})
-    client = RemoteEmbeddingClient(endpoint=stub_server.url("/v1/embeddings"),
-                                   model="m", retries=1, backoff=0.01)
+    client = RemoteEmbeddingClient(Endpoint(
+        stub_server.url("/v1/embeddings"), "m", retries=1, backoff=0.01))
     with pytest.raises(RemoteServiceError, match="failed after 2 attempts"):
         client.embed(["a"])
 
@@ -134,8 +142,7 @@ def test_detector_client_labels(stub_server):
         return {"results": results}
 
     stub_server.routes["/detect"] = detect
-    client = RemoteDetectorClient(endpoint=stub_server.url("/detect"),
-                                  retries=0)
+    client = RemoteDetectorClient(Endpoint(stub_server.url("/detect"), retries=0))
     assert client.classify(["synth text", "real text"]) == [True, False]
 
 
@@ -144,15 +151,13 @@ def test_detector_client_threshold_on_probability(stub_server):
     # above the 0.5 threshold
     stub_server.routes["/detect"] = lambda payload: {
         "results": [{"label": "human", "score": 0.3}]}
-    client = RemoteDetectorClient(endpoint=stub_server.url("/detect"),
-                                  retries=0)
+    client = RemoteDetectorClient(Endpoint(stub_server.url("/detect"), retries=0))
     assert client.classify(["ambiguous"]) == [True]
 
 
 def test_detector_client_malformed_reply(stub_server):
     stub_server.routes["/detect"] = lambda payload: {"results": []}
-    client = RemoteDetectorClient(endpoint=stub_server.url("/detect"),
-                                  retries=0)
+    client = RemoteDetectorClient(Endpoint(stub_server.url("/detect"), retries=0))
     with pytest.raises(RemoteServiceError, match="malformed"):
         client.classify(["a", "b"])
 
@@ -165,8 +170,8 @@ def test_client_error_is_not_retried(stub_server):
         return 400, {"error": "bad request"}
 
     stub_server.routes["/v1/embeddings"] = reject
-    client = RemoteEmbeddingClient(endpoint=stub_server.url("/v1/embeddings"),
-                                   model="m", retries=3, backoff=0.01)
+    client = RemoteEmbeddingClient(Endpoint(
+        stub_server.url("/v1/embeddings"), "m", retries=3, backoff=0.01))
     with pytest.raises(RemoteServiceError, match="rejected"):
         client.embed(["a"])
     assert calls["n"] == 1

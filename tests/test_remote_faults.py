@@ -16,6 +16,7 @@ from ragloop import remote
 from ragloop.errors import RemoteRequestRejected, RemoteServiceError
 from ragloop.filters import RemoteDetectorClient
 from ragloop.generation import GenerationRequest, RemoteChatGenerator
+from ragloop.remote import Endpoint
 from ragloop.rerank import RemoteScorerBackend
 from ragloop.retrieval import RemoteEmbeddingClient
 
@@ -25,7 +26,7 @@ TIMEOUT_S = 0.3
 @dataclass
 class Client:
     path: str
-    build: Callable          # (endpoint, **retry knobs) -> client
+    build: Callable          # (url, **retry knobs) -> client
     call: Callable           # client -> plain result
     good: dict               # a well-formed reply
     want: object             # call's result for `good`
@@ -35,25 +36,25 @@ class Client:
 CLIENTS = {
     "chat": Client(
         "/v1/chat",
-        lambda url, **kw: RemoteChatGenerator(name="r", endpoint=url, model="m", **kw),
+        lambda url, **kw: RemoteChatGenerator("r", Endpoint(url, "m", **kw)),
         lambda c: c.generate(GenerationRequest(prompt="x")),
         {"choices": [{"message": {"content": "ok"}}]}, "ok",
         {"choices": []}),
     "embeddings": Client(
         "/v1/embeddings",
-        lambda url, **kw: RemoteEmbeddingClient(endpoint=url, model="m", **kw),
+        lambda url, **kw: RemoteEmbeddingClient(Endpoint(url, "m", **kw)),
         lambda c: [v.tolist() for v in c.embed(["a"])],
         {"data": [{"embedding": [1.0, 0.0]}]}, [[1.0, 0.0]],
         {"data": [{"vector": [1.0]}]}),
     "scorer": Client(
         "/v1/score",
-        lambda url, **kw: RemoteScorerBackend(endpoint=url, **kw),
+        lambda url, **kw: RemoteScorerBackend(Endpoint(url, **kw)),
         lambda c: c.score("q", ["p"]),
         {"scores": [0.5]}, [0.5],
         {"scores": [0.5, 0.5]}),
     "detector": Client(
         "/v1/detect",
-        lambda url, **kw: RemoteDetectorClient(endpoint=url, **kw),
+        lambda url, **kw: RemoteDetectorClient(Endpoint(url, **kw)),
         lambda c: c.classify(["t"]),
         {"results": [{"label": "generated", "score": 0.9}]}, [True],
         {"results": "none"}),

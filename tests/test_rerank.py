@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from ragloop.errors import RemoteServiceError
+from ragloop.remote import Endpoint
 from ragloop.rerank import (FAILURE_PASS_THROUGH, LexicalOverlapBackend,
                             RemoteScorerBackend, rerank)
 from ragloop.retrieval import RankedList
@@ -82,8 +83,8 @@ def test_rerank_depth_zero_rejected():
 def test_remote_scorer_roundtrip(stub_server):
     stub_server.routes["/score"] = lambda payload: {
         "scores": [float(len(p)) for p in payload["passages"]]}
-    backend = RemoteScorerBackend(endpoint=stub_server.url("/score"),
-                                  model="scorer-1", batch_size=2, retries=0)
+    backend = RemoteScorerBackend(
+        Endpoint(stub_server.url("/score"), "scorer-1", retries=0), batch_size=2)
     scores = backend.score("q", ["aa", "bbbb", "c"])
     assert scores == [2.0, 4.0, 1.0]
     # batching honored: 3 passages with batch_size=2 means two requests
@@ -94,7 +95,7 @@ def test_remote_scorer_roundtrip(stub_server):
 
 def test_remote_scorer_accepts_bare_array(stub_server):
     stub_server.routes["/score"] = lambda payload: [0.5] * len(payload["passages"])
-    backend = RemoteScorerBackend(endpoint=stub_server.url("/score"), retries=0)
+    backend = RemoteScorerBackend(Endpoint(stub_server.url("/score"), retries=0))
     assert backend.score("q", ["x", "y"]) == [0.5, 0.5]
 
 
@@ -108,16 +109,16 @@ def test_remote_scorer_retries_then_succeeds(stub_server):
         return {"scores": [1.0]}
 
     stub_server.routes["/score"] = flaky
-    backend = RemoteScorerBackend(endpoint=stub_server.url("/score"),
-                                  retries=3, backoff=0.01)
+    backend = RemoteScorerBackend(
+        Endpoint(stub_server.url("/score"), retries=3, backoff=0.01))
     assert backend.score("q", ["x"]) == [1.0]
     assert state["calls"] == 3
 
 
 def test_rerank_failure_abort_policy(stub_server):
     stub_server.routes["/score"] = lambda payload: (500, {"error": "down"})
-    backend = RemoteScorerBackend(endpoint=stub_server.url("/score"),
-                                  retries=1, backoff=0.01)
+    backend = RemoteScorerBackend(
+        Endpoint(stub_server.url("/score"), retries=1, backoff=0.01))
     with pytest.raises(RemoteServiceError):
         rerank(backend, "q", _candidates(["a", "b"]), depth=2,
                corpus=_corpus({"a": "x", "b": "y"}))
@@ -125,8 +126,8 @@ def test_rerank_failure_abort_policy(stub_server):
 
 def test_rerank_failure_pass_through_policy(stub_server):
     stub_server.routes["/score"] = lambda payload: (500, {"error": "down"})
-    backend = RemoteScorerBackend(endpoint=stub_server.url("/score"),
-                                  retries=0, backoff=0.01)
+    backend = RemoteScorerBackend(
+        Endpoint(stub_server.url("/score"), retries=0, backoff=0.01))
     candidates = _candidates(["a", "b"])
     out = rerank(backend, "q", candidates, depth=2,
                  corpus=_corpus({"a": "x", "b": "y"}),

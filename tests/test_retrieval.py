@@ -205,14 +205,6 @@ def test_search_dense_end_to_end_with_stub():
     assert ranked.entries[0].doc_id == "d1"  # identical token bag
 
 
-def test_rankedlist_serialization_roundtrip():
-    ranked = RankedList.from_ordered("q1", 3, [("a", 2.5), ("b", 1.0)])
-    again = RankedList.from_dict(ranked.to_dict())
-    assert again.query_id == "q1" and again.iteration == 3
-    assert [(e.doc_id, e.score, e.rank) for e in again.entries] == \
-           [("a", 2.5, 1), ("b", 1.0, 2)]
-
-
 def _direct_embedding(text, dim, seed):
     # the derivation the embedder memoizes, applied to every token afresh
     vec = np.zeros(dim, dtype=np.float64)

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
-from ragloop.config import (ExperimentConfig, load_config, load_query_set,
-                            parse_config_mapping, validate_config)
+from ragloop.config import (ExperimentConfig, ensure_valid, load_config,
+                            load_query_set, parse_config_mapping,
+                            validate_config)
 from ragloop.errors import (ConfigValidationError, CorpusFormatError,
                             RagLoopError, RemoteServiceError)
 from ragloop.generation import SyntheticGenerator
@@ -68,6 +72,24 @@ generators:
 def test_config_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigValidationError, match="unknown configuration key"):
         _config(tmp_path, mystery_flag=True)
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    ({"generators": [{"kind": "synthetic"}]},
+     "generator entry 1 is malformed: KeyError('name')"),
+    ({"schedule": [{"iterations": "one-two", "generators": ["gen-a"]}]},
+     "schedule entry 1 is malformed"),
+    ({"iterations": "ten"}, "iterations must be int, got 'ten'"),
+    ({"retries": -1}, "retries must be >= 0"),
+    ({"timeout": -5}, "timeout must be > 0"),
+    ({"backoff": -1}, "backoff must be >= 0"),
+    ({"diversity_threshold": 7}, "diversity_threshold must be in [0, 1]"),
+    ({"judge_generator": "gen-z"}, "judge_generator 'gen-z' is not a configured"),
+], ids=["no-name", "bad-span", "iterations-type", "retries", "timeout",
+        "backoff", "diversity-threshold", "judge"])
+def test_bad_config_input_is_a_validation_problem(tmp_path, overrides, problem):
+    with pytest.raises(ConfigValidationError, match=re.escape(problem)):
+        ensure_valid(_config(tmp_path, **overrides))
 
 
 def test_config_hash_is_stable():
@@ -274,6 +296,37 @@ def test_minority_failures_skip_queries_but_continue(tmp_path):
     additions = read_jsonl(out / "iterations" / "iter-01" / "additions.jsonl")
     assert len(additions) == (12 - 2) * 2
     assert all(d["text"].strip() for d in additions)
+
+
+@pytest.mark.parametrize("max_failure_fraction, status",
+                         [(0.4, "failed"), (0.6, "complete")])
+def test_max_failure_fraction_sets_the_abort_line(tmp_path, monkeypatch,
+                                                  max_failure_fraction, status):
+    config = _config(tmp_path, iterations=1, max_failure_fraction=max_failure_fraction,
+                     generators=[{"name": "gen-a", "kind": "synthetic"}])
+    failing = {q.query_id for q in load_query_set(config.query_set)[::2]}
+    compose = SyntheticGenerator.generate
+
+    def fail_half(self, request):
+        if request.query_id in failing:
+            raise RemoteServiceError("transient outage")
+        return compose(self, request)
+
+    monkeypatch.setattr(SyntheticGenerator, "generate", fail_half)
+    assert len(failing) == 6  # half of the 12 sampled queries
+    if status == "failed":
+        with pytest.raises(RagLoopError, match="6/12 generation tasks failed"):
+            run_experiment(config)
+    else:
+        run_experiment(config)
+    manifest = json.loads((Path(config.output_dir) / "manifest.json").read_text())
+    assert manifest["status"] == status
+
+
+@pytest.mark.parametrize("judge, name", [("", "gen-a"), ("gen-b", "gen-b")])
+def test_judge_generator_picks_the_named_generator(tmp_path, judge, name):
+    config = _config(tmp_path, grade_with_judge=True, judge_generator=judge)
+    assert ExperimentRunner(config).judge.name == name
 
 
 # ---- full runs -----------------------------------------------------------------
@@ -528,6 +581,62 @@ def test_failed_pooled_retrieval_aborts_the_run(tmp_path, stub_server,
     assert not (Path(config.output_dir) / "iterations").exists()
 
 
+@pytest.mark.parametrize("policy", ["pass-through-unranked", "abort-iteration"])
+def test_rerank_failure_policy_on_scorer_outage(tmp_path, stub_server, policy):
+    stub_server.routes["/v1/score"] = lambda payload: (503, {"error": "down"})
+    config = _config(tmp_path, out=policy, pipeline="bm25+rerank",
+                     offline=False, retries=0,
+                     rerank_endpoint=stub_server.url("/v1/score"),
+                     rerank_failure_policy=policy)
+    manifest_path = Path(config.output_dir) / "manifest.json"
+    if policy == "abort-iteration":
+        with pytest.raises(RemoteServiceError, match="failed after 1 attempts"):
+            run_experiment(config)
+        assert json.loads(manifest_path.read_text())["status"] == "failed"
+        return
+    run_experiment(config)
+    assert json.loads(manifest_path.read_text())["status"] == "complete"
+    plain = _config(tmp_path, out="plain")
+    run_experiment(plain)
+    for i in range(3):
+        ranked = Path("iterations") / f"iter-{i:02d}" / "ranked.jsonl"
+        assert (Path(config.output_dir) / ranked).read_bytes() == \
+            (Path(plain.output_dir) / ranked).read_bytes()
+    assert stub_server.requests
+
+
+def test_tracer_sees_every_module_of_a_remote_run(tmp_path, stub_server):
+    # perfbench/spans.py wraps these functions by module attribute; a client
+    # that stops calling post_json_with_retries by its module-level name, or
+    # a renamed runner helper, silently reads 0 in the benchmark
+    _remote_routes(stub_server)
+    corpus, queries = _dataset(tmp_path)
+    raw = {
+        "seed_corpus": str(corpus), "query_set": str(queries),
+        "output_dir": str(tmp_path / "run"), "pipeline": "dense+rerank",
+        "filter_mode": "source", "sample_size": 6, "iterations": 1,
+        "seed": 17, "retries": 0, "max_in_flight": 2,
+        "generators": [{"name": "gen-a", "kind": "remote", "model": "gen-a",
+                        "endpoint": stub_server.url("/v1/chat")}],
+        "embedding_endpoint": stub_server.url("/v1/embeddings"),
+        "rerank_endpoint": stub_server.url("/v1/score"),
+        "detector_endpoint": stub_server.url("/v1/detect"),
+    }
+    config_path, result_path = tmp_path / "config.json", tmp_path / "result.json"
+    config_path.write_text(json.dumps(raw))
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "perfbench/worker.py", str(config_path),
+                    str(result_path), str(tmp_path / "spans.jsonl")],
+                   cwd=root, check=True, timeout=120)
+    counts: dict[str, int] = {}
+    for metric, _phase, value in json.loads(result_path.read_text())["trace"]["counts"]:
+        counts[metric] = counts.get(metric, 0) + value
+    for span in ("remote.post", "retrieval.embed", "rerank.rerank",
+                 "filters.source", "generation.generate", "postprocess.clean",
+                 "corpus.add_documents", "runner.persist"):
+        assert counts.get(f"{span}.calls", 0) > 0, span
+
+
 @pytest.mark.parametrize("phase", ["iterations/iter-01/metrics.json",
                                    "injection/meta.json"])
 def test_resume_refuses_phase_with_other_config_hash(tmp_path, phase):
@@ -581,6 +690,21 @@ def test_misinfo_judge_grades_chosen_false_answer(tmp_path, monkeypatch):
         # offline judge says yes iff contained, so the conjunction equals em
         assert r["em_llm_false"] == r["em_false"]
     assert {r["em_false"] for r in rows} == {0, 1}
+
+
+def test_diversity_threshold_one_removes_nothing(tmp_path):
+    removals = {}
+    for threshold in (0.4, 1.0):
+        config = _config(tmp_path, out=f"t{threshold}", filter_mode="diversity",
+                         diversity_threshold=threshold)
+        run_experiment(config)
+        removals[threshold] = [
+            ctx["removals"] for i in range(3)
+            for ctx in read_jsonl(Path(config.output_dir) / "iterations"
+                                  / f"iter-{i:02d}" / "contexts.jsonl")]
+    # Self-BLEU never exceeds 1, so no set is ever rebuilt
+    assert sum(removals[0.4]) > 0
+    assert removals[1.0] == [0] * len(removals[1.0])
 
 
 def test_diversity_filter_mode_persists_conforming_contexts(tmp_path):
