@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -26,8 +26,8 @@ from .retrieval import HashedEmbedder, RemoteEmbeddingClient
 
 PIPELINES = ("bm25", "dense", "bm25+rerank", "dense+rerank")
 FILTER_MODES = ("none", "source", "diversity")
-# annotation of a numeric config field -> the Python types it accepts
-_NUMBER_TYPES = {"int": int, "float": (int, float)}
+# annotation of a scalar config field -> the Python types it accepts
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 @dataclass
@@ -224,8 +224,17 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
     """Build a config; every unreadable entry or key is reported at once."""
     data = dict(raw)
     problems: list[str] = []
+
+    def entries(key: str) -> list:
+        value = data.pop(key, None) or []
+        if isinstance(value, list):
+            return value
+        problems.append(f"{key} must be a list, got {value!r}")
+        return []
+
+    gen_keys = {f.name for f in fields(GeneratorSpec)}
     gen_specs = []
-    for number, g in enumerate(data.pop("generators", None) or [], start=1):
+    for number, g in enumerate(entries("generators"), start=1):
         try:
             gen_specs.append(GeneratorSpec(
                 name=str(g["name"]), kind=g.get("kind", "synthetic"),
@@ -237,8 +246,11 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
                 api_key_env=g.get("api_key_env", "")))
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"generator entry {number} is malformed: {exc!r}")
+            continue
+        problems.extend(f"unknown key {key!r} in generator entry {number}"
+                        for key in sorted(set(g) - gen_keys, key=str))
     schedule = []
-    for number, s in enumerate(data.pop("schedule", None) or [], start=1):
+    for number, s in enumerate(entries("schedule"), start=1):
         try:
             first, last = _parse_span(str(s["iterations"]))
             schedule.append(ScheduleEntry(
@@ -252,11 +264,16 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
         return p
 
     known = {f.name: f.type for f in fields(ExperimentConfig)}
-    for key in sorted(data):
-        want = _NUMBER_TYPES.get(known.get(key))
+    problems.extend(f"missing required configuration key {f.name!r}"
+                    for f in fields(ExperimentConfig)
+                    if f.default is MISSING and f.default_factory is MISSING
+                    and f.name not in data)
+    for key in sorted(data, key=str):
+        want = _SCALAR_TYPES.get(known.get(key))
         if key not in known:
             problems.append(f"unknown configuration key {key!r}")
-        elif want and (isinstance(data[key], bool) or not isinstance(data[key], want)):
+        elif want and (not isinstance(data[key], want)
+                       or isinstance(data[key], bool) and want is not bool):
             problems.append(f"{key} must be {known[key]}, got {data[key]!r}")
     if problems:
         raise ConfigValidationError(problems)
@@ -270,7 +287,14 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     path = Path(path)
-    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    try:
+        with path.open(encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        detail = (exc.strerror if isinstance(exc, OSError)
+                  else " ".join(str(exc).split()))
+        raise ConfigValidationError(
+            [f"cannot read config file {path}: {detail}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigValidationError([f"config file {path} must hold a mapping"])
     if overrides:

@@ -83,13 +83,13 @@ class FilterResult:
 
 
 def source_filter(candidates: RankedList, detector,
-                  corpus: CorpusSnapshot, want: int = CONTEXT_SIZE) -> FilterResult:
-    """Scan candidates in rank order and keep the first `want` documents the
-    detector labels human.
+                  corpus: CorpusSnapshot) -> FilterResult:
+    """Scan candidates in rank order and keep the first CONTEXT_SIZE
+    documents the detector labels human.
 
-    If the whole candidate list yields fewer than `want`, all found are
-    returned with the shortfall flag. Detector failure falls back to the
-    unfiltered top-`want` with a logged flag.
+    If the whole candidate list yields fewer, all found are returned with
+    the shortfall flag. Detector failure falls back to the unfiltered top
+    CONTEXT_SIZE with a logged flag.
     """
     entries = candidates.entries
     if not entries:
@@ -98,16 +98,17 @@ def source_filter(candidates: RankedList, detector,
         generated = detector.classify([corpus.get_text(e.doc_id) for e in entries])
     except RemoteServiceError as exc:
         logger.warning("detector failed for query %r (%s); falling back to "
-                       "unfiltered top-%d", candidates.query_id, exc, want)
-        return FilterResult(entries=list(entries[:want]), fallback_unfiltered=True)
+                       "unfiltered top-%d", candidates.query_id, exc, CONTEXT_SIZE)
+        return FilterResult(entries=list(entries[:CONTEXT_SIZE]),
+                            fallback_unfiltered=True)
     kept: list[RankEntry] = []
     for entry, is_generated in zip(entries, generated):
         if is_generated:
             continue
         kept.append(entry)
-        if len(kept) == want:
+        if len(kept) == CONTEXT_SIZE:
             break
-    return FilterResult(entries=kept, shortfall=len(kept) < want)
+    return FilterResult(entries=kept, shortfall=len(kept) < CONTEXT_SIZE)
 
 
 def _set_self_bleu(entries: list[RankEntry],
@@ -118,9 +119,8 @@ def _set_self_bleu(entries: list[RankEntry],
 
 
 def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
-                     threshold: float = DIVERSITY_THRESHOLD,
-                     window: int = CONTEXT_SIZE) -> FilterResult:
-    """Greedy self-similarity reduction over the top-`window` candidates.
+                     threshold: float = DIVERSITY_THRESHOLD) -> FilterResult:
+    """Greedy self-similarity reduction over the top-CONTEXT_SIZE candidates.
 
     While the working set scores above the threshold and unused candidates
     remain: score every leave-one-out subset, drop the document whose
@@ -130,7 +130,7 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
     working set, and dropped when the call returns.
     """
     entries = candidates.entries
-    if len(entries) < window:
+    if len(entries) < CONTEXT_SIZE:
         return FilterResult(entries=list(entries), shortfall=True)
     profiles: dict[str, NgramProfile] = {}
 
@@ -138,8 +138,8 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
         profiles[entry.doc_id] = ngram_profile(corpus.tokens(entry.doc_id))
         return entry
 
-    working = [join(e) for e in entries[:window]]
-    next_idx = window
+    working = [join(e) for e in entries[:CONTEXT_SIZE]]
+    next_idx = CONTEXT_SIZE
     removals = 0
     while _set_self_bleu(working, profiles) > threshold:
         if next_idx >= len(entries):

@@ -202,7 +202,9 @@ class SyntheticGenerator:
     iteration, so a query the generator "knows" stays known across the run.
     The marginal rate over many queries matches the configured accuracy.
     Every output carries a style-marker token so a stub classifier can
-    recognize the provenance.
+    recognize the provenance. False answers are decoys built from the
+    reversed reference answer, and the judge says yes iff the response
+    contains the answer.
     """
 
     def __init__(self, name: str, accuracy: float = 1.0,
@@ -270,6 +272,21 @@ class SyntheticGenerator:
         return text
 
     def generate(self, request: GenerationRequest) -> str:
+        if request.kind == ANSWER_CHECK:
+            # offline judge: the response supports the answer iff it contains it
+            return "Yes." if em([request.answer], request.response) else "No."
+        if request.kind == MIS_ANSWER:
+            # decoy `attempt % 5` of the set for outer attempt `attempt // 5`;
+            # the primary answer is reversed so that no decoy holds a
+            # reference-answer token, and a hash covers palindromes
+            outer, index = divmod(request.attempt, FALSE_ANSWER_COUNT)
+            answers = request.gold_answers
+            mangled = "-".join(t[::-1] for t in tokenize(answers[0])) or "unknown"
+            decoys = [f"not-{mangled}-{i}" for i in range(1, FALSE_ANSWER_COUNT + 1)]
+            if outer > 0 or any(em(answers, d) for d in decoys):
+                tag = derive_seed(self.seed, "decoy", request.query, outer)
+                return f"decoy{tag % 10_000}x{index + 1}"
+            return decoys[index]
         call_seed = derive_seed(self.seed, "text", self.name, request.query_id,
                                 request.iteration, request.attempt)
         rng = random.Random(call_seed)
@@ -285,25 +302,6 @@ class SyntheticGenerator:
         exclude = [] if include is not None else list(request.gold_answers)
         return self._compose(rng, request.query, include=include,
                              exclude=exclude, contexts=request.contexts)
-
-    def false_answer_candidates(self, query: str, ref_answers: list[str],
-                                attempt: int = 0) -> list[str]:
-        # decoys must not contain any reference-answer token, so the
-        # primary answer is reversed; hash fallback covers palindromes
-        base = ref_answers[0]
-        mangled = "-".join(t[::-1] for t in tokenize(base)) or "unknown"
-        decoys = [f"not-{mangled}-{i}" for i in range(1, FALSE_ANSWER_COUNT + 1)]
-        if attempt > 0 or any(em(ref_answers, d) for d in decoys):
-            tag = derive_seed(self.seed, "decoy", query, attempt)
-            decoys = [f"decoy{tag % 10_000}x{i}"
-                      for i in range(1, FALSE_ANSWER_COUNT + 1)]
-        return decoys
-
-    def judge_reply(self, request: GenerationRequest) -> str:
-        # offline judge: the response supports the answer iff it contains it
-        if request.answer is None or request.response is None:
-            return "no"
-        return "Yes." if em([request.answer], request.response) else "No."
 
 
 class RemoteChatGenerator:
@@ -354,13 +352,14 @@ def generate_false_answers(backend, query: str, ref_answers: list[str],
     """
     if not ref_answers:
         raise ValueError("reference answers must be non-empty")
+    prompt = build_prompt(MIS_ANSWER, query, ref_answers=ref_answers)
     for attempt in range(retry_budget + 1):
-        if hasattr(backend, "false_answer_candidates"):
-            candidates = backend.false_answer_candidates(query, ref_answers,
-                                                         attempt=attempt)
-        else:
-            candidates = _remote_false_answers(backend, query, ref_answers,
-                                               attempt)
+        candidates = []
+        for i in range(FALSE_ANSWER_COUNT):
+            request = GenerationRequest(prompt=prompt, kind=MIS_ANSWER, query=query,
+                                        gold_answers=list(ref_answers),
+                                        attempt=attempt * FALSE_ANSWER_COUNT + i)
+            candidates.append(generate(backend, request).strip().splitlines()[0])
         valid = [c for c in candidates if c.strip() and not em(ref_answers, c)]
         if len(valid) >= FALSE_ANSWER_COUNT:
             return valid[:FALSE_ANSWER_COUNT]
@@ -370,18 +369,6 @@ def generate_false_answers(backend, query: str, ref_answers: list[str],
     raise GenerationFailure(
         f"could not produce {FALSE_ANSWER_COUNT} valid false answers for "
         f"query {query_id or query!r}")
-
-
-def _remote_false_answers(backend, query: str, ref_answers: list[str],
-                          attempt: int) -> list[str]:
-    candidates: list[str] = []
-    for i in range(FALSE_ANSWER_COUNT):
-        prompt = build_prompt(MIS_ANSWER, query, ref_answers=ref_answers)
-        request = GenerationRequest(prompt=prompt, kind=MIS_ANSWER, query=query,
-                                    gold_answers=list(ref_answers),
-                                    attempt=attempt * FALSE_ANSWER_COUNT + i)
-        candidates.append(generate(backend, request).strip().splitlines()[0])
-    return candidates
 
 
 def generate_mis_passage(backend, query: str, chosen_false_answer: str,
@@ -426,11 +413,7 @@ def judge_support(backend, query: str, response: str, answer: str) -> tuple[str,
         request = GenerationRequest(prompt=prompt, kind=ANSWER_CHECK,
                                     query=query, response=response,
                                     answer=answer, attempt=attempt)
-        if hasattr(backend, "judge_reply"):
-            reply = backend.judge_reply(request)
-        else:
-            reply = generate(backend, request)
-        verdict = parse_judge_reply(reply)
+        verdict = parse_judge_reply(generate(backend, request))
         if verdict is not None:
             return verdict, False
     logger.warning("judge reply unparseable twice for query %r; recording 'no'",

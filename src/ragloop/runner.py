@@ -196,19 +196,21 @@ class ExperimentRunner:
 
     # ---- generation ------------------------------------------------------
 
-    def _generation_tasks(self, iteration: int,
-                          contexts: dict[str, FilterResult]) -> list[tuple]:
-        specs = (self.config.generators_for_iteration(iteration)
-                 if iteration >= 1 else list(self.config.generators))
+    def _tasks(self, kind: str, iteration: int, specs,
+               contexts: dict[str, FilterResult] | None = None) -> list[tuple]:
+        """One (query, generator name, request) per query and generator,
+        sorted by (query_id, name); prompts fill their context slots from
+        each query's kept contexts, and zero-shot prompts have none."""
         tasks = []
         for query in self.queries:
-            kept = contexts[query.query_id]
-            texts = [self.corpus.get_text(e.doc_id) for e in kept.entries]
+            texts = [] if contexts is None else [
+                self.corpus.get_text(e.doc_id)
+                for e in contexts[query.query_id].entries]
             padded = (texts + [""] * CONTEXT_SIZE)[:CONTEXT_SIZE]
-            prompt = build_prompt(WITH_CONTEXTS, query.question, contexts=padded)
+            prompt = build_prompt(kind, query.question, contexts=padded)
             for spec in specs:
                 request = GenerationRequest(
-                    prompt=prompt, kind=WITH_CONTEXTS, query_id=query.query_id,
+                    prompt=prompt, kind=kind, query_id=query.query_id,
                     iteration=iteration, query=query.question,
                     gold_answers=list(query.answers), contexts=texts)
                 tasks.append((query, spec.name, request))
@@ -358,7 +360,9 @@ class ExperimentRunner:
             ranked[query.query_id] = rl
             contexts[query.query_id] = kept
 
-        tasks = self._generation_tasks(iteration, contexts)
+        specs = (self.config.generators_for_iteration(iteration)
+                 if iteration >= 1 else list(self.config.generators))
+        tasks = self._tasks(WITH_CONTEXTS, iteration, specs, contexts)
         outputs = self._run_tasks(tasks)
 
         crn_by_query = {
@@ -503,24 +507,11 @@ class ExperimentRunner:
         return docs
 
     def _build_zero_shot_docs(self, specs) -> list[Document]:
-        tasks = []
-        for query in self.queries:
-            prompt = build_prompt(ZERO_SHOT, query.question)
-            for spec in specs:
-                request = GenerationRequest(
-                    prompt=prompt, kind=ZERO_SHOT, query_id=query.query_id,
-                    iteration=1, query=query.question,
-                    gold_answers=list(query.answers))
-                tasks.append((query, spec.name, request))
-        tasks.sort(key=lambda t: (t[0].query_id, t[1]))
-        outputs = self._run_tasks(tasks)
-        docs = []
-        for (query, gen_name, _request), raw in zip(tasks, outputs):
-            if raw is None:
-                continue
-            docs.append(_generated_doc(gen_name, 1, query.query_id,
-                                       postprocess.clean(raw, self.phrases)))
-        return docs
+        tasks = self._tasks(ZERO_SHOT, 1, specs)
+        return [_generated_doc(gen_name, 1, query.query_id,
+                               postprocess.clean(raw, self.phrases))
+                for (query, gen_name, _request), raw
+                in zip(tasks, self._run_tasks(tasks)) if raw is not None]
 
     def _build_misinfo_docs(self, specs) -> list[Document]:
         answer_backend = self.generators[self.config.generators[0].name]
@@ -615,39 +606,23 @@ def run_experiment(config: ExperimentConfig,
         all_metrics: list[M.IterationMetrics] = []
         em_prev: dict | None = None
 
-        # baseline (iteration 0)
-        if resume and runner._phase_complete(0):
-            bundle, em_prev, _ = runner._load_phase(0)
-            all_metrics.append(bundle)
-            logger.info("baseline already complete; loaded")
-        else:
-            artifacts = runner.run_baseline()
-            all_metrics.append(artifacts.metrics)
-            em_prev = {(r.query_id, r.generator_name): r.em
-                       for r in artifacts.records}
-
-        # zero-shot / misinfo injection commits the iteration-1 additions
-        if resume and runner._injection_complete():
-            docs = runner._load_injection()
-            runner._commit(docs)
-            logger.info("injection already complete; loaded %d documents",
-                        len(docs))
-        else:
-            docs = runner.inject_zero_shot()
-            runner._commit(docs)
-
-        for iteration in range(1, config.iterations + 1):
+        for iteration in range(config.iterations + 1):
+            if iteration == 1:
+                # zero-shot / misinfo injection commits the iteration-1 additions
+                runner._commit(runner._load_injection()
+                               if resume and runner._injection_complete()
+                               else runner.inject_zero_shot())
             if resume and runner._phase_complete(iteration):
-                bundle, em_map, docs = runner._load_phase(iteration)
+                bundle, em_prev, docs = runner._load_phase(iteration)
                 runner._commit(docs)
-                all_metrics.append(bundle)
-                em_prev = em_map
-                logger.info("iteration %d already complete; loaded", iteration)
-                continue
-            artifacts = runner.run_iteration(iteration, em_prev)
-            all_metrics.append(artifacts.metrics)
-            em_prev = {(r.query_id, r.generator_name): r.em
-                       for r in artifacts.records}
+                logger.info("phase %d already complete; loaded", iteration)
+            else:
+                artifacts = (runner.run_iteration(iteration, em_prev)
+                             if iteration else runner.run_baseline())
+                bundle = artifacts.metrics
+                em_prev = {(r.query_id, r.generator_name): r.em
+                           for r in artifacts.records}
+            all_metrics.append(bundle)
 
         summary_path = write_summary(runner.out_dir, all_metrics)
         write_jsonl(runner.out_dir / ALL_METRICS_FILE,

@@ -12,6 +12,8 @@ import json
 import random
 from pathlib import Path
 
+from .errors import RagLoopError
+
 _SUBJECTS = ("harbor", "glacier", "orchard", "archive", "festival", "bridge",
              "observatory", "reservoir", "cathedral", "workshop", "meadow",
              "lighthouse", "quarry", "terrace", "garrison", "monastery")
@@ -44,7 +46,7 @@ def make_seed_corpus(num_docs: int, queries: list[dict],
     """Human documents: two answer-bearing passages per query, the rest
     topical filler. Requires num_docs >= 2 * len(queries)."""
     if num_docs < 2 * len(queries):
-        raise ValueError("need at least two seed documents per query")
+        raise RagLoopError("need at least two seed documents per query")
     rng = random.Random(seed + 1)
     docs = []
 

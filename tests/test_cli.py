@@ -106,3 +106,21 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["report", "--out", str(tmp_path / "nothing-here")]) == 1
+
+
+def test_cli_bad_input_is_one_line_and_exit_1(tmp_path, capsys):
+    missing = str(tmp_path / "absent.yaml")
+    assert main(["validate", "--config", missing]) == 1
+    assert capsys.readouterr().err == (
+        f"INVALID: cannot read config file {missing}: No such file or directory\n")
+    assert main(["run", "--config", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:") and missing in err
+    assert main(["synth", "--out", str(tmp_path / "demo"), "--docs", "10",
+                 "--queries", "50"]) == 1
+    assert capsys.readouterr().err == (
+        "error: need at least two seed documents per query\n")
+    cfg = _write_config(tmp_path, generators=[{"name": "gen-a", "acuracy": 0.2}])
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "INVALID: unknown key 'acuracy' in generator entry 1\n")

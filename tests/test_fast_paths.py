@@ -4,7 +4,9 @@ against the implementations they replaced.
 The oracles below are the text-based versions of Self-BLEU, the diversity
 filter and the document-grading metrics, copied unchanged from before the
 corpus cached document tokens. Every comparison requires exact equality:
-the arithmetic is the same, so the floats must be bit-equal.
+the arithmetic is the same, so the floats must be bit-equal. The synthetic
+generator's former side methods for false answers and judge replies are
+kept too, as oracles for the requests `generate` now answers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import pytest
 from ragloop import filters, metrics
 from ragloop.corpus import CorpusSnapshot, HUMAN
 from ragloop.filters import DIVERSITY_THRESHOLD, FilterResult
-from ragloop.generation import CONTEXT_SIZE
+from ragloop.generation import (ANSWER_CHECK, CONTEXT_SIZE, FALSE_ANSWER_COUNT,
+                                MIS_ANSWER, GenerationRequest,
+                                SyntheticGenerator, build_prompt, derive_seed)
 from ragloop.metrics import normalize_answer
 from ragloop.config import parse_config_mapping
 from ragloop.retrieval import RankEntry, RankedList, tokenize
@@ -193,6 +197,27 @@ def first_right_ranks(ranked: RankedList, golds: Sequence[str],
     return first_any, first_human
 
 
+def false_answer_candidates(self, query: str, ref_answers: list[str],
+                            attempt: int = 0) -> list[str]:
+    # decoys must not contain any reference-answer token, so the
+    # primary answer is reversed; hash fallback covers palindromes
+    base = ref_answers[0]
+    mangled = "-".join(t[::-1] for t in tokenize(base)) or "unknown"
+    decoys = [f"not-{mangled}-{i}" for i in range(1, FALSE_ANSWER_COUNT + 1)]
+    if attempt > 0 or any(em(ref_answers, d) for d in decoys):
+        tag = derive_seed(self.seed, "decoy", query, attempt)
+        decoys = [f"decoy{tag % 10_000}x{i}"
+                  for i in range(1, FALSE_ANSWER_COUNT + 1)]
+    return decoys
+
+
+def judge_reply(self, request: GenerationRequest) -> str:
+    # offline judge: the response supports the answer iff it contains it
+    if request.answer is None or request.response is None:
+        return "no"
+    return "Yes." if em([request.answer], request.response) else "No."
+
+
 # ---- a recorded run: its final corpus and every ranked list ---------------
 
 @pytest.fixture(scope="module")
@@ -345,3 +370,34 @@ def test_grading_matches_em_on_article_heavy_text():
             sum(em(golds, t) for t in texts.values())
     with pytest.raises(ValueError, match="at least one gold answer"):
         metrics.context_right_num(rl, [], corpus)
+
+
+# ---- synthetic false answers and judge replies through `generate` -------------
+
+@pytest.mark.parametrize("answers", [["Paris"], ["anna"], ["Le Havre", "Havre"]],
+                         ids=["plain", "palindrome", "two-answers"])
+def test_synthetic_false_answers_match_side_method(answers):
+    gen = SyntheticGenerator("g", seed=4)
+    query = "which port is this"
+    prompt = build_prompt(MIS_ANSWER, query, ref_answers=answers)
+    for attempt in range(4):
+        got = [gen.generate(GenerationRequest(
+                   prompt=prompt, kind=MIS_ANSWER, query=query,
+                   gold_answers=answers, attempt=attempt * FALSE_ANSWER_COUNT + i))
+               for i in range(FALSE_ANSWER_COUNT)]
+        assert got == false_answer_candidates(gen, query, answers, attempt)
+    # a palindrome survives reversal, so its first set is the hash fallback
+    assert false_answer_candidates(gen, query, ["anna"])[0].startswith("decoy")
+
+
+def test_synthetic_judge_matches_side_method():
+    gen = SyntheticGenerator("g", seed=1)
+    replies = []
+    for response in ("the answer is Paris", "the answer is Lyon"):
+        request = GenerationRequest(
+            prompt=build_prompt(ANSWER_CHECK, "q", response=response,
+                                answer="Paris"),
+            kind=ANSWER_CHECK, query="q", response=response, answer="Paris")
+        assert gen.generate(request) == judge_reply(gen, request)
+        replies.append(gen.generate(request))
+    assert replies == ["Yes.", "No."]

@@ -27,6 +27,19 @@ GOLDEN = {
         {"pipeline": "dense+rerank", "sample_size": 12, "iterations": 3,
          "retrieval_depth": 40, "rerank_depth": 20},
         "f7c14096cd10e11a8013d1b80d3f20e222826b283ce98662f5bbacd32a0498bf"),
+    # no benchmark workload runs misinformation, the judge or a schedule
+    "misinfo-judge-source": (
+        {"pipeline": "bm25", "filter_mode": "source", "misinfo": True,
+         "grade_with_judge": True, "sample_size": 8, "iterations": 2,
+         "retrieval_depth": 25},
+        "091f587acf163d59643b1e4a2c56a796ae73120733ce2d105985b3b26c5926b4"),
+    "schedule-rerank-judge": (
+        {"pipeline": "bm25+rerank", "grade_with_judge": True,
+         "judge_generator": "gen-b", "sample_size": 6, "iterations": 3,
+         "retrieval_depth": 25, "rerank_depth": 10,
+         "schedule": [{"iterations": "1-2", "generators": ["gen-a"]},
+                      {"iterations": "3", "generators": ["gen-a", "gen-b"]}]},
+        "f92128fff7f7d9e6ab801e82f1c65d164ad7eca508bf1eb88315e30fa3147f3b"),
 }
 
 

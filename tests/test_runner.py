@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ragloop import runner as runner_module
 from ragloop.config import (ExperimentConfig, ensure_valid, load_config,
                             load_query_set, parse_config_mapping,
                             validate_config)
@@ -28,7 +30,8 @@ def _dataset(tmp_path, docs=120, queries=12, seed=3):
                               num_queries=queries, seed=seed)
 
 
-def _config(tmp_path, out="run", **overrides) -> ExperimentConfig:
+def _raw(tmp_path, out="run", **overrides) -> dict:
+    """A valid config mapping with `overrides` applied; None drops a key."""
     corpus, queries = _dataset(tmp_path)
     raw = {
         "seed_corpus": str(corpus), "query_set": str(queries),
@@ -40,7 +43,11 @@ def _config(tmp_path, out="run", **overrides) -> ExperimentConfig:
         ],
     }
     raw.update(overrides)
-    return parse_config_mapping(raw)
+    return {k: v for k, v in raw.items() if v is not None}
+
+
+def _config(tmp_path, out="run", **overrides) -> ExperimentConfig:
+    return parse_config_mapping(_raw(tmp_path, out, **overrides))
 
 
 # ---- config ----------------------------------------------------------------
@@ -74,22 +81,43 @@ def test_config_unknown_key_rejected(tmp_path):
         _config(tmp_path, mystery_flag=True)
 
 
-@pytest.mark.parametrize("overrides, problem", [
+@pytest.mark.parametrize("given, problem", [
     ({"generators": [{"kind": "synthetic"}]},
      "generator entry 1 is malformed: KeyError('name')"),
     ({"schedule": [{"iterations": "one-two", "generators": ["gen-a"]}]},
      "schedule entry 1 is malformed"),
     ({"iterations": "ten"}, "iterations must be int, got 'ten'"),
+    ({"pipeline": 5}, "pipeline must be str, got 5"),
+    ({"offline": "no"}, "offline must be bool, got 'no'"),
     ({"retries": -1}, "retries must be >= 0"),
     ({"timeout": -5}, "timeout must be > 0"),
     ({"backoff": -1}, "backoff must be >= 0"),
     ({"diversity_threshold": 7}, "diversity_threshold must be in [0, 1]"),
     ({"judge_generator": "gen-z"}, "judge_generator 'gen-z' is not a configured"),
-], ids=["no-name", "bad-span", "iterations-type", "retries", "timeout",
-        "backoff", "diversity-threshold", "judge"])
-def test_bad_config_input_is_a_validation_problem(tmp_path, overrides, problem):
+    ({"seed_corpus": None}, "missing required configuration key 'seed_corpus'"),
+    ({"query_set": None}, "missing required configuration key 'query_set'"),
+    ({"output_dir": None}, "missing required configuration key 'output_dir'"),
+    ({"generators": 5}, "generators must be a list, got 5"),
+    ({"schedule": 5}, "schedule must be a list, got 5"),
+    ({"generators": [{"name": "gen-a", "acuracy": 0.2}]},
+     "unknown key 'acuracy' in generator entry 1"),
+    ("seed_corpus: [c\n", "expected ',' or ']', but got '<stream end>'"),
+    (None, "exp.yaml: No such file or directory"),
+], ids=["no-name", "bad-span", "iterations-type", "pipeline-type",
+        "offline-type", "retries", "timeout", "backoff", "diversity-threshold",
+        "judge", "no-seed-corpus", "no-query-set", "no-output-dir",
+        "generators-not-list", "schedule-not-list", "generator-key-typo",
+        "yaml-syntax", "no-config-file"])
+def test_bad_config_input_is_a_validation_problem(tmp_path, given, problem):
+    # `given` is overrides of a valid mapping, the text of the config file,
+    # or None for a config file that does not exist
+    path = tmp_path / "exp.yaml"
+    if isinstance(given, dict):
+        path.write_text(json.dumps(_raw(tmp_path, **given)))  # JSON is YAML
+    elif given is not None:
+        path.write_text(given)
     with pytest.raises(ConfigValidationError, match=re.escape(problem)):
-        ensure_valid(_config(tmp_path, **overrides))
+        ensure_valid(load_config(path))
 
 
 def test_config_hash_is_stable():
@@ -421,6 +449,63 @@ def test_resume_matches_uninterrupted_run(tmp_path):
                 "iterations/iter-03/additions.jsonl",
                 "series/series_accuracy.tsv"]:
         assert (ref_dir / rel).read_bytes() == (part_dir / rel).read_bytes(), rel
+
+
+class _Killed(BaseException):
+    """Stands for the process dying: `except Exception` does not catch it."""
+
+
+def _run_files(run_dir: Path) -> dict[str, bytes]:
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"filter_mode": "source", "misinfo": True, "grade_with_judge": True},
+    {"pipeline": "dense+rerank", "rerank_depth": 10},
+], ids=["bm25-misinfo-judge-source", "dense-rerank"])
+def test_kill_at_every_write_resumes_identically(tmp_path, monkeypatch,
+                                                 overrides):
+    corpus, queries = write_demo_dataset(tmp_path / "data", num_docs=80,
+                                         num_queries=6, seed=3)
+
+    def config(out: str) -> ExperimentConfig:
+        return parse_config_mapping({
+            "seed_corpus": str(corpus), "query_set": str(queries),
+            "output_dir": str(tmp_path / out), "sample_size": 6,
+            "iterations": 2, "retrieval_depth": 20, "seed": 17,
+            "offline": True,
+            "generators": [
+                {"name": "gen-a", "kind": "synthetic", "accuracy": 0.8},
+                {"name": "gen-b", "kind": "synthetic", "accuracy": 0.8},
+            ],
+            **overrides})
+
+    write = runner_module._atomic_write
+    calls: list[Path] = []
+
+    def dies_at(n):
+        def atomic_write(path, data):
+            calls.append(path)
+            if len(calls) >= n:
+                raise _Killed(f"killed at write {n}")
+            write(path, data)
+        return atomic_write
+
+    monkeypatch.setattr(runner_module, "_atomic_write", dies_at(math.inf))
+    run_experiment(config("reference"), resume=False)
+    total, want = len(calls), _run_files(tmp_path / "reference")
+    assert total > 20
+    for n in range(1, total + 1):
+        calls.clear()
+        out = f"killed-{n:02d}"
+        monkeypatch.setattr(runner_module, "_atomic_write", dies_at(n))
+        with pytest.raises(_Killed):
+            run_experiment(config(out), resume=False)
+        assert len(calls) == n
+        monkeypatch.setattr(runner_module, "_atomic_write", write)
+        run_experiment(config(out), resume=True)
+        assert _run_files(tmp_path / out) == want, f"killed at write {n}"
 
 
 def test_resume_refuses_other_config(tmp_path):
