@@ -220,24 +220,47 @@ def _parse_span(text: str) -> tuple[int, int]:
     return value, value
 
 
+def _key_problems(entry: dict, known: dict[str, str], where: str = "") -> list[str]:
+    """Unknown keys of one mapping, and scalar values of another type than
+    their field's annotation in `known` (bools are not numbers). `where`
+    names the entry, or is empty for the top level."""
+    problems = []
+    for key in sorted(entry, key=str):
+        want = _SCALAR_TYPES.get(known.get(key))
+        value = entry[key]
+        if key not in known:
+            problems.append(f"unknown key {key!r}{where}" if where
+                            else f"unknown configuration key {key!r}")
+        elif want and (not isinstance(value, want)
+                       or isinstance(value, bool) and want is not bool):
+            problems.append(f"{key} must be {known[key]}, got {value!r}{where}")
+    return problems
+
+
 def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Build a config; every unreadable entry or key is reported at once."""
     data = dict(raw)
     problems: list[str] = []
 
-    def entries(key: str) -> list:
+    def entries(key: str, label: str, known: dict[str, str]):
+        """(number, entry) for each entry of list `key` whose keys pass."""
         value = data.pop(key, None) or []
-        if isinstance(value, list):
-            return value
-        problems.append(f"{key} must be a list, got {value!r}")
-        return []
+        if not isinstance(value, list):
+            problems.append(f"{key} must be a list, got {value!r}")
+            return
+        for number, entry in enumerate(value, start=1):
+            found = (_key_problems(entry, known, f" in {label} entry {number}")
+                     if isinstance(entry, dict) else [])
+            problems.extend(found)
+            if not found:
+                yield number, entry
 
-    gen_keys = {f.name for f in fields(GeneratorSpec)}
     gen_specs = []
-    for number, g in enumerate(entries("generators"), start=1):
+    for number, g in entries("generators", "generator",
+                             {f.name: f.type for f in fields(GeneratorSpec)}):
         try:
             gen_specs.append(GeneratorSpec(
-                name=str(g["name"]), kind=g.get("kind", "synthetic"),
+                name=g["name"], kind=g.get("kind", "synthetic"),
                 accuracy=float(g.get("accuracy", 1.0)),
                 marker=g.get("marker", DEFAULT_STYLE_MARKER),
                 endpoint=g.get("endpoint", ""), model=g.get("model", ""),
@@ -246,11 +269,9 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
                 api_key_env=g.get("api_key_env", "")))
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"generator entry {number} is malformed: {exc!r}")
-            continue
-        problems.extend(f"unknown key {key!r} in generator entry {number}"
-                        for key in sorted(set(g) - gen_keys, key=str))
     schedule = []
-    for number, s in enumerate(entries("schedule"), start=1):
+    for number, s in entries("schedule", "schedule",
+                             {"iterations": "", "generators": ""}):
         try:
             first, last = _parse_span(str(s["iterations"]))
             schedule.append(ScheduleEntry(
@@ -263,18 +284,12 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
             return str(base_dir / p)
         return p
 
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
     problems.extend(f"missing required configuration key {f.name!r}"
                     for f in fields(ExperimentConfig)
                     if f.default is MISSING and f.default_factory is MISSING
                     and f.name not in data)
-    for key in sorted(data, key=str):
-        want = _SCALAR_TYPES.get(known.get(key))
-        if key not in known:
-            problems.append(f"unknown configuration key {key!r}")
-        elif want and (not isinstance(data[key], want)
-                       or isinstance(data[key], bool) and want is not bool):
-            problems.append(f"{key} must be {known[key]}, got {data[key]!r}")
+    problems.extend(_key_problems(
+        data, {f.name: f.type for f in fields(ExperimentConfig)}))
     if problems:
         raise ConfigValidationError(problems)
     config = ExperimentConfig(generators=gen_specs, schedule=schedule, **data)

@@ -31,16 +31,23 @@ class PhraseList:
             raise ValueError("phrase list must not contain empty phrases")
         self.phrases = cleaned
         ordered = sorted(cleaned, key=len, reverse=True)
+        # (needle, pattern), longest phrase first; the needle is the lowered
+        # phrase, or None when the phrase is not ASCII and so always scanned
         self._patterns = [
-            re.compile(re.escape(p) + r"[,\s]*", re.IGNORECASE) for p in ordered
+            (p.lower() if p.isascii() else None,
+             re.compile(re.escape(p) + r"[,\s]*", re.IGNORECASE))
+            for p in ordered
         ]
 
     def __len__(self) -> int:
         return len(self.phrases)
 
     def contains_any(self, text: str) -> bool:
-        lowered = text.lower()
-        return any(p.lower() in lowered for p in self.phrases)
+        """True iff `clean` would find a phrase in the text."""
+        lowered = _ascii_lowered(text)
+        return any(needle in lowered if _exact(needle, lowered)
+                   else pattern.search(text) is not None
+                   for needle, pattern in self._patterns)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PhraseList":
@@ -60,6 +67,21 @@ def default_phrase_list() -> PhraseList:
     return PhraseList(_phrase_lines(ref.read_text(encoding="utf-8")))
 
 
+def _ascii_lowered(text: str) -> str | None:
+    """The lowered text to test needles against, or None for non-ASCII text.
+
+    Under re.IGNORECASE a few non-ASCII code points match ASCII letters
+    ('ſ' matches 's', the Kelvin sign 'k', 'ı' and 'İ' match 'i') that
+    str.lower leaves alone, so only ASCII text can rule a phrase out.
+    """
+    return text.lower() if text.isascii() else None
+
+
+def _exact(needle: str | None, lowered: str | None) -> bool:
+    """Whether `needle in lowered` decides a match: ASCII on both sides."""
+    return needle is not None and lowered is not None
+
+
 def clean(text: str, phrases: PhraseList | None = None) -> str:
     """Remove every phrase occurrence.
 
@@ -76,16 +98,23 @@ def clean(text: str, phrases: PhraseList | None = None) -> str:
     # removal, so rescan after every normalization
     for _ in range(100):
         changed = False
-        for pattern in plist._patterns:
+        lowered = _ascii_lowered(out)
+        for needle, pattern in plist._patterns:
+            # a phrase absent from the lowered text cannot match: skip its scan
+            if _exact(needle, lowered) and needle not in lowered:
+                continue
             out, n = pattern.subn(" ", out)
             if n:
                 removed += n
                 changed = True
+                lowered = _ascii_lowered(out)
         if not changed:
             break
         out = _WS_RE.sub(" ", out)
+    if removed == 0:
+        return text
     out = _DANGLING_HEAD_RE.sub("", out)
     out = _WS_RE.sub(" ", out).strip()
-    if removed == 0 or (text.strip() and not out):
+    if text.strip() and not out:
         return text
     return out

@@ -92,6 +92,26 @@ def _id_rank(doc_ids: list[str]) -> np.ndarray:
     return id_rank
 
 
+def _top_k(idxs: np.ndarray, scores: np.ndarray, id_rank: np.ndarray,
+           k: int) -> np.ndarray:
+    """The k best of `idxs` by descending score, ties by doc_id ascending.
+
+    `scores` is aligned with `idxs`. Only candidates that score at least
+    the k-th best are sorted; every tie at that cut survives, so the order
+    is exactly that of a full sort.
+    """
+    neg = -scores
+    if neg.size > k:
+        cut = np.partition(neg, k - 1)[k - 1]
+        # NaN sorts last in both sorts, so a NaN cut means fewer than k
+        # numbers: keep them all
+        if not np.isnan(cut):
+            keep = neg <= cut
+            idxs, neg = idxs[keep], neg[keep]
+    order = np.lexsort((id_rank[idxs], neg))
+    return idxs[order[:k]]
+
+
 class InvertedIndex:
     """BM25 inverted index supporting single-writer incremental additions.
 
@@ -140,11 +160,12 @@ class InvertedIndex:
             self._caches = None
 
     def _ensure_caches(self) -> tuple[np.ndarray, np.ndarray]:
-        """(document lengths, doc_id ranks), published together."""
+        """(BM25 length normalisation, doc_id ranks), published together."""
         caches = self._caches
         if caches is None:
-            caches = (np.asarray(self.doc_lengths, dtype=np.float64),
-                      _id_rank(self.doc_ids))
+            lengths = np.asarray(self.doc_lengths, dtype=np.float64)
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / self.avg_doc_length)
+            caches = (norm, _id_rank(self.doc_ids))
             self._caches = caches
         return caches
 
@@ -175,9 +196,7 @@ class InvertedIndex:
         terms = tokenize(query)
         if not terms or not self.doc_count:
             return []
-        lengths, id_rank = self._ensure_caches()
-        avgdl = self.avg_doc_length
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avgdl)
+        norm, id_rank = self._ensure_caches()
         scores = np.zeros(self.doc_count, dtype=np.float64)
         matched = np.zeros(self.doc_count, dtype=bool)
         for term in terms:
@@ -191,9 +210,7 @@ class InvertedIndex:
         hit_idxs = np.nonzero(matched)[0]
         if hit_idxs.size == 0:
             return []
-        # sort by descending score, then lexicographic doc_id
-        order = np.lexsort((id_rank[hit_idxs], -scores[hit_idxs]))
-        top = hit_idxs[order[:k]]
+        top = _top_k(hit_idxs, scores[hit_idxs], id_rank, k)
         return [(self.doc_ids[i], float(scores[i])) for i in top]
 
 
@@ -340,8 +357,7 @@ class VectorIndex:
             denom = norms * qnorm
             dots = matrix @ query_vec
             sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-        order = np.lexsort((id_rank, -sims))
-        top = order[:k]
+        top = _top_k(np.arange(self.doc_count), sims, id_rank, k)
         return [(self.doc_ids[i], float(sims[i])) for i in top]
 
 

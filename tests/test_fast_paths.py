@@ -6,16 +6,20 @@ filter and the document-grading metrics, copied unchanged from before the
 corpus cached document tokens. Every comparison requires exact equality:
 the arithmetic is the same, so the floats must be bit-equal. The synthetic
 generator's former side methods for false answers and judge replies are
-kept too, as oracles for the requests `generate` now answers.
+kept too, as oracles for the requests `generate` now answers. So are the
+phrase cleaner that ran every phrase's regex over every text, and the
+searches that fully sorted every candidate before keeping the top k.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from typing import Mapping, Sequence
 
+import numpy as np
 import pytest
 
 from ragloop import filters, metrics
@@ -26,11 +30,17 @@ from ragloop.generation import (ANSWER_CHECK, CONTEXT_SIZE, FALSE_ANSWER_COUNT,
                                 SyntheticGenerator, build_prompt, derive_seed)
 from ragloop.metrics import normalize_answer
 from ragloop.config import parse_config_mapping
-from ragloop.retrieval import RankEntry, RankedList, tokenize
+from ragloop.postprocess import PhraseList, clean, default_phrase_list
+from ragloop.retrieval import (BM25_B, BM25_K1, InvertedIndex, RankEntry,
+                               RankedList, VectorIndex, _id_rank, _top_k,
+                               tokenize)
 from ragloop.runner import ExperimentRunner
 from ragloop.synthdata import write_demo_dataset
 
 from conftest import human_doc, snapshot_of
+
+_WS_RE = re.compile(r"\s+")
+_DANGLING_HEAD_RE = re.compile(r"^[\s,;:]+")
 
 
 # ---- oracles: the replaced implementations, verbatim -----------------------
@@ -218,10 +228,88 @@ def judge_reply(self, request: GenerationRequest) -> str:
     return "Yes." if em([request.answer], request.response) else "No."
 
 
+def _oracle_patterns(plist: PhraseList) -> list[re.Pattern]:
+    ordered = sorted(plist.phrases, key=len, reverse=True)
+    return [re.compile(re.escape(p) + r"[,\s]*", re.IGNORECASE) for p in ordered]
+
+
+def oracle_clean(text: str, plist: PhraseList) -> str:
+    patterns = _oracle_patterns(plist)
+    out = text
+    removed = 0
+    for _ in range(100):
+        changed = False
+        for pattern in patterns:
+            out, n = pattern.subn(" ", out)
+            if n:
+                removed += n
+                changed = True
+        if not changed:
+            break
+        out = _WS_RE.sub(" ", out)
+    out = _DANGLING_HEAD_RE.sub("", out)
+    out = _WS_RE.sub(" ", out).strip()
+    if removed == 0 or (text.strip() and not out):
+        return text
+    return out
+
+
+def oracle_bm25_search(index: InvertedIndex, query: str,
+                       k: int) -> list[tuple[str, float]]:
+    # every derived array is rebuilt from the index's data on each call
+    terms = tokenize(query)
+    if not terms or not index.doc_count:
+        return []
+    lengths = np.asarray(index.doc_lengths, dtype=np.float64)
+    id_rank = _id_rank(index.doc_ids)
+    avgdl = index.avg_doc_length
+    norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avgdl)
+    scores = np.zeros(index.doc_count, dtype=np.float64)
+    matched = np.zeros(index.doc_count, dtype=bool)
+    for term in terms:
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        idxs = np.fromiter((p[0] for p in plist), dtype=np.int64, count=len(plist))
+        tfs = np.fromiter((p[1] for p in plist), dtype=np.float64, count=len(plist))
+        idf = index.idf(term)
+        scores[idxs] += idf * tfs / (tfs + norm[idxs])
+        matched[idxs] = True
+    hit_idxs = np.nonzero(matched)[0]
+    if hit_idxs.size == 0:
+        return []
+    # sort by descending score, then lexicographic doc_id
+    order = np.lexsort((id_rank[hit_idxs], -scores[hit_idxs]))
+    top = hit_idxs[order[:k]]
+    return [(index.doc_ids[i], float(scores[i])) for i in top]
+
+
+def oracle_vector_search(vindex: VectorIndex, query_vec: np.ndarray,
+                         k: int) -> list[tuple[str, float]]:
+    matrix = np.vstack(vindex._vectors)
+    norms = np.linalg.norm(matrix, axis=1)
+    id_rank = _id_rank(vindex.doc_ids)
+    qnorm = float(np.linalg.norm(query_vec))
+    if qnorm == 0.0:
+        sims = np.zeros(vindex.doc_count, dtype=np.float64)
+    else:
+        denom = norms * qnorm
+        dots = matrix @ query_vec
+        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    order = np.lexsort((id_rank, -sims))
+    top = order[:k]
+    return [(vindex.doc_ids[i], float(sims[i])) for i in top]
+
+
+def _bits(pairs: list[tuple[str, float]]) -> list[tuple[str, str]]:
+    # float.hex tells 0.0 from -0.0, which == does not
+    return [(doc_id, score.hex()) for doc_id, score in pairs]
+
+
 # ---- a recorded run: its final corpus and every ranked list ---------------
 
 @pytest.fixture(scope="module")
-def recorded(tmp_path_factory):
+def recorded_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("recorded")
     corpus_path, query_path = write_demo_dataset(tmp / "data", num_docs=120,
                                                  num_queries=10, seed=11)
@@ -240,6 +328,12 @@ def recorded(tmp_path_factory):
     runner._commit(runner.inject_zero_shot())
     for iteration in (1, 2):
         phases.append(runner.run_iteration(iteration, em_prev=None))
+    return runner, phases
+
+
+@pytest.fixture(scope="module")
+def recorded(recorded_run):
+    runner, phases = recorded_run
     ranked = [rl for art in phases for rl in art.ranked.values()]
     return runner.corpus, ranked, runner.gold
 
@@ -401,3 +495,208 @@ def test_synthetic_judge_matches_side_method():
         assert gen.generate(request) == judge_reply(gen, request)
         replies.append(gen.generate(request))
     assert replies == ["Yes.", "No."]
+
+
+# ---- phrase cleaning: scan only phrases that can occur ---------------------
+
+_FILLER = "the river museum holds an archive of the north"
+# non-ASCII letters that re.IGNORECASE matches to an ASCII letter while
+# str.lower leaves them alone
+_FOLD_VARIANTS = {"s": "\u017f", "k": "\u212a", "i": "\u0131", "I": "\u0130"}
+
+
+def _same_as_oracle(texts, plist):
+    patterns = _oracle_patterns(plist)
+    for text in texts:
+        assert clean(text, plist) == oracle_clean(text, plist), text
+        assert plist.contains_any(text) == \
+            any(p.search(text) for p in patterns), text
+
+
+def test_clean_matches_oracle_on_every_bundled_phrase():
+    plist = default_phrase_list()
+    texts = []
+    for phrase in plist.phrases:
+        for form in (phrase, phrase.upper(), phrase.lower()):
+            for sep in (" ", ", "):
+                texts += [form, form + sep.rstrip(),
+                          form + sep + _FILLER,
+                          _FILLER + " " + form + sep + _FILLER,
+                          _FILLER + sep + form,
+                          _FILLER + " " + form + sep]
+    _same_as_oracle(texts, plist)
+
+
+def test_clean_matches_oracle_at_seams():
+    # removing one phrase (or collapsing the whitespace it leaves) joins
+    # the halves of another
+    plist = default_phrase_list()
+    rng = random.Random(909)
+    texts = []
+    for outer in plist.phrases:
+        cuts = [m.start() for m in re.finditer(" ", outer)]
+        for cut in cuts:
+            for _ in range(3):
+                inner = rng.choice(plist.phrases)
+                sep = rng.choice([" ", ", ", "  ", ",  "])
+                texts.append(f"{_FILLER} {outer[:cut]} {inner}{sep}"
+                             f"{outer[cut + 1:]}, {_FILLER}")
+                texts.append(f"{outer[:cut]} {inner}{sep}{outer[cut + 1:]}")
+    assert texts
+    _same_as_oracle(texts, plist)
+    # a phrase that only exists until whitespace collapses must be found in
+    # the pass whose removal made it
+    spaced = PhraseList(["long phrase here", "as  well"])
+    _same_as_oracle(["x as long phrase here, well y"], spaced)
+    assert clean("x as long phrase here, well y", spaced) == "x y"
+
+
+def test_clean_matches_oracle_on_case_folding_letters():
+    plist = default_phrase_list()
+    texts = ["A\u017f a chatbot, the river is long.",
+             "I hope th\u0131s helps you with the archive."]
+    for phrase in plist.phrases:
+        for ascii_letter, variant in _FOLD_VARIANTS.items():
+            if ascii_letter in phrase:
+                folded = phrase.replace(ascii_letter, variant, 1)
+                texts += [folded + ", " + _FILLER,
+                          _FILLER + " " + folded.upper() + " " + _FILLER,
+                          # the variant sits outside the phrase
+                          phrase + " " + variant + " " + _FILLER]
+    _same_as_oracle(texts, plist)
+    # both named texts hold a phrase: the predicate must say so
+    assert all(plist.contains_any(t) for t in texts[:2])
+    assert all(clean(t, plist) != t for t in texts[:2])
+
+
+def test_clean_matches_oracle_on_non_ascii_phrase_list():
+    plist = PhraseList(["\u017fure thing", "Stra\u00dfe note", "\u0130stanbul says",
+                        "na\u00efve answer", "plain phrase", "\u212aindly"])
+    texts = []
+    for phrase in plist.phrases + ["sure thing", "SURE THING", "istanbul says",
+                                   "kindly", "KINDLY", "Kindly", "STRASSE note",
+                                   "plain phrase", "PLAIN PHRASE"]:
+        texts += [phrase + ", " + _FILLER, _FILLER + " " + phrase,
+                  _FILLER + ", " + phrase + ", " + _FILLER, phrase]
+    _same_as_oracle(texts, plist)
+    # an ASCII text can hold a non-ASCII phrase
+    assert plist.contains_any("Sure thing, the river")
+    assert clean("Sure thing, the river", plist) == "the river"
+
+
+def test_clean_matches_oracle_on_recorded_generations(recorded_run):
+    plist = default_phrase_list()
+    _, phases = recorded_run
+    raws = [r.raw_text for art in phases for r in art.records]
+    assert len(raws) >= 40
+    rng = random.Random(31)
+    seeded = []
+    for raw in raws:
+        text = raw
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randint(0, len(text))
+            text = text[:pos] + rng.choice([" ", ", "]) + \
+                rng.choice(plist.phrases) + rng.choice([" ", ", "]) + text[pos:]
+        seeded.append(text)
+    _same_as_oracle(raws + seeded, plist)
+    # offline generations hold no phrase, so each comes back as it was
+    assert all(clean(raw, plist) is raw for raw in raws)
+
+
+# ---- top-k selection before the sort ------------------------------------------
+
+def _full_sort(idxs, scores, id_rank, k):
+    order = np.lexsort((id_rank[idxs], -scores))
+    return idxs[order[:k]]
+
+
+@pytest.mark.parametrize("scores", [
+    [3.0, 1.0, 2.0, 2.0, 2.0, 0.5, 2.0],    # a tie across the k-th score
+    [1.0] * 9,                              # all equal
+    [0.0, -0.0, 0.0, -0.0, 1.0, -1.0],      # both zeros tie
+    [np.nan, 1.0, np.nan, 2.0, 0.5],        # NaN sorts after every number
+], ids=["tie-at-cut", "all-equal", "signed-zeros", "nan"])
+def test_top_k_matches_full_sort(scores):
+    scores = np.array(scores, dtype=np.float64)
+    rng = random.Random(len(scores))
+    for _ in range(20):
+        id_rank = np.array(rng.sample(range(len(scores)), len(scores)))
+        idxs = np.arange(len(scores))
+        for k in range(1, len(scores) + 3):
+            assert list(_top_k(idxs, scores, id_rank, k)) == \
+                list(_full_sort(idxs, scores, id_rank, k))
+
+
+def test_top_k_matches_full_sort_on_random_ties():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        idxs = np.sort(rng.choice(200, size=n, replace=False))
+        scores = rng.integers(0, 4, size=n).astype(np.float64) / 3.0
+        id_rank = rng.permutation(200)
+        for k in (1, 2, 5, n - 1, n, n + 1):
+            if k >= 1:
+                assert list(_top_k(idxs, scores, id_rank, k)) == \
+                    list(_full_sort(idxs, scores, id_rank, k))
+
+
+def test_bm25_search_matches_full_sort_with_ties_and_incremental_adds():
+    index = InvertedIndex()
+    rng = random.Random(12)
+    words = "river museum archive north bridge harvest the of a".split()
+    added = 0
+    for batch in range(6):
+        docs = []
+        for _ in range(15):
+            added += 1
+            # duplicated texts give equal scores across every cut
+            text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 6)))
+            docs.append(human_doc(f"d{rng.randint(0, 10**6):07d}-{added}",
+                                  text if added % 3 else "river the"))
+        index.add(docs)
+        for query in ("river", "the of", "museum archive north", "river the",
+                      "absent", "bridge bridge harvest"):
+            for k in (1, 3, 10, 40, added, added + 5):
+                # the first search after an add fills the caches; a stale
+                # length normalisation would change every score
+                assert _bits(index.search(query, k)) == \
+                    _bits(oracle_bm25_search(index, query, k)), (batch, query, k)
+
+
+def test_bm25_search_matches_full_sort_on_recorded_index(recorded_run):
+    runner, _ = recorded_run
+    assert runner.index.doc_count > 120
+    for query in runner.queries:
+        for k in (1, 5, 12, 100, runner.index.doc_count):
+            assert _bits(runner.index.search(query.question, k)) == \
+                _bits(oracle_bm25_search(runner.index, query.question, k))
+
+
+def test_vector_search_matches_full_sort_with_signed_zeros_and_ties():
+    vindex = VectorIndex()
+    # against the query (0, -1): (1, 0) scores 0.0, (-1, 0) scores -0.0
+    vindex.add_vectors([("a", np.array([1.0, 0.0])), ("b", np.array([-1.0, 0.0])),
+                        ("c", np.array([0.0, -1.0])), ("d", np.array([0.0, -2.0])),
+                        ("e", np.array([-1.0, 0.0])), ("f", np.array([0.0, 0.0])),
+                        ("g", np.array([0.0, 1.0]))])
+    for query in (np.array([0.0, -1.0]), np.array([1.0, 1.0]),
+                  np.array([0.0, 0.0])):
+        for k in range(1, 10):
+            assert _bits(vindex.search_vector(query, k)) == \
+                _bits(oracle_vector_search(vindex, query, k))
+    assert vindex.search_vector(np.array([0.0, -1.0]), 2) == [("c", 1.0), ("d", 1.0)]
+
+
+def test_vector_search_matches_full_sort_after_incremental_adds():
+    rng = np.random.default_rng(8)
+    vindex = VectorIndex()
+    for batch in range(5):
+        # coarse integer vectors repeat, so similarities tie
+        vindex.add_vectors([(f"v{batch}-{i:02d}",
+                             rng.integers(-1, 2, size=4).astype(np.float64))
+                            for i in range(25)])
+        for _ in range(10):
+            query = rng.integers(-1, 2, size=4).astype(np.float64)
+            for k in (1, 4, 20, vindex.doc_count, vindex.doc_count + 3):
+                assert _bits(vindex.search_vector(query, k)) == \
+                    _bits(oracle_vector_search(vindex, query, k))

@@ -101,13 +101,24 @@ def test_config_unknown_key_rejected(tmp_path):
     ({"schedule": 5}, "schedule must be a list, got 5"),
     ({"generators": [{"name": "gen-a", "acuracy": 0.2}]},
      "unknown key 'acuracy' in generator entry 1"),
+    ({"generators": [{"name": "gen-a", "marker": 5}], "filter_mode": "source"},
+     "marker must be str, got 5 in generator entry 1"),
+    ({"generators": [{"name": "gen-a", "accuracy": "0.2"}]},
+     "accuracy must be float, got '0.2' in generator entry 1"),
+    ({"generators": [{"name": "gen-a", "temperature": True}]},
+     "temperature must be float, got True in generator entry 1"),
+    ({"generators": [{"name": 7}]}, "name must be str, got 7 in generator entry 1"),
+    ({"schedule": [{"iterations": "1-2", "generators": ["gen-a"], "weight": 2}]},
+     "unknown key 'weight' in schedule entry 1"),
     ("seed_corpus: [c\n", "expected ',' or ']', but got '<stream end>'"),
     (None, "exp.yaml: No such file or directory"),
 ], ids=["no-name", "bad-span", "iterations-type", "pipeline-type",
         "offline-type", "retries", "timeout", "backoff", "diversity-threshold",
         "judge", "no-seed-corpus", "no-query-set", "no-output-dir",
         "generators-not-list", "schedule-not-list", "generator-key-typo",
-        "yaml-syntax", "no-config-file"])
+        "generator-marker-type", "generator-accuracy-type",
+        "generator-temperature-type", "generator-name-type",
+        "schedule-key-typo", "yaml-syntax", "no-config-file"])
 def test_bad_config_input_is_a_validation_problem(tmp_path, given, problem):
     # `given` is overrides of a valid mapping, the text of the config file,
     # or None for a config file that does not exist
