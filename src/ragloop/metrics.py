@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,20 +153,13 @@ def _set_maxima(counters: list[Counter]) -> dict:
     return maxima
 
 
-def _bleu(candidate: NgramProfile, set_maxima: list[dict],
-          ref_lengths: list[int], max_n: int) -> float:
-    """Sentence BLEU of a member of a set against the other members:
-    clipped n-gram precisions, geometric mean, closest-reference brevity
-    penalty, no smoothing. `set_maxima[n - 1]` is `_set_maxima` of the
-    whole set's n-gram Counters."""
-    c = candidate.length
-    if c == 0:
-        return 0.0
-    log_sum = 0.0
+def _clipped_counts(candidate: NgramProfile, set_maxima: list[dict],
+                    max_n: int) -> Iterator[int]:
+    """The candidate's n-gram counts clipped by the other members of its
+    set, one sum per order n = 1..max_n, each computed when it is read.
+    `set_maxima[n - 1]` is `_set_maxima` of the whole set's n-gram
+    Counters."""
     for n in range(max_n):
-        total = c - n
-        if total <= 0:
-            return 0.0
         maxima = set_maxima[n]
         clipped = 0
         for ngram, cnt in candidate.counts[n].items():
@@ -174,9 +167,24 @@ def _bleu(candidate: NgramProfile, set_maxima: list[dict],
             # at it, the best reference holds the runner-up
             largest, runner_up = maxima[ngram]
             clipped += cnt if cnt < largest else runner_up
-        if clipped == 0:
+        yield clipped
+
+
+def _bleu_from_clipped(clipped: Iterable[int], c: int,
+                       ref_lengths: Sequence[int], max_n: int) -> float:
+    """Sentence BLEU of a c-token candidate whose clipped n-gram counts
+    `clipped` yields for n = 1..max_n: clipped precisions, geometric mean,
+    closest-reference brevity penalty, no smoothing. Reading stops at the
+    first order that scores 0. Every Self-BLEU score in the program is
+    evaluated here, so they all share one float evaluation order."""
+    if c == 0:
+        return 0.0
+    log_sum = 0.0
+    for n, hits in zip(range(max_n), clipped):
+        total = c - n
+        if total <= 0 or hits == 0:
             return 0.0
-        log_sum += math.log(clipped / total) / max_n
+        log_sum += math.log(hits / total) / max_n
     r = min(ref_lengths, key=lambda rl: (abs(rl - c), rl))
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return bp * math.exp(log_sum)
@@ -214,8 +222,9 @@ def self_bleu(docs: Sequence[str | Sequence[str] | NgramProfile],
     lengths = [p.length for p in profiles]
     scores = []
     for i, candidate in enumerate(profiles):
-        scores.append(_bleu(candidate, set_maxima,
-                            lengths[:i] + lengths[i + 1:], max_n))
+        scores.append(_bleu_from_clipped(
+            _clipped_counts(candidate, set_maxima, max_n), candidate.length,
+            lengths[:i] + lengths[i + 1:], max_n))
     return sum(scores) / len(scores)
 
 

@@ -61,6 +61,8 @@ class RankedList:
         for i, e in enumerate(self.entries, start=1):
             if e.rank != i:
                 raise ValueError(f"ranks must be consecutive from 1, got {e.rank} at {i}")
+            if math.isnan(e.score):
+                raise ValueError(f"NaN score for {e.doc_id!r}")
             if e.score > prev_score:
                 raise ValueError("scores must be non-increasing by rank")
             if e.doc_id in seen:
@@ -274,9 +276,14 @@ class RemoteEmbeddingClient:
         try:
             rows = reply["data"]
             vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in rows]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise RemoteServiceError(
                 f"malformed embeddings reply from {self.endpoint.url}: {exc}") from exc
+        for vec in vectors:
+            if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+                raise RemoteServiceError(
+                    f"malformed embeddings reply from {self.endpoint.url}: "
+                    "every embedding must be a 1-d vector of finite numbers")
         if len(vectors) != len(texts):
             raise RemoteServiceError(
                 f"embeddings reply has {len(vectors)} rows for {len(texts)} inputs")
@@ -349,6 +356,8 @@ class VectorIndex:
         if query_vec.shape != (self.dim,):
             raise ValueError(
                 f"query dimension {query_vec.shape} does not match index ({self.dim},)")
+        if not np.all(np.isfinite(query_vec)):
+            raise ValueError("non-finite query embedding")
         matrix, norms, id_rank = self._ensure_caches()
         qnorm = float(np.linalg.norm(query_vec))
         if qnorm == 0.0:

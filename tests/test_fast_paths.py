@@ -3,7 +3,9 @@ against the implementations they replaced.
 
 The oracles below are the text-based versions of Self-BLEU, the diversity
 filter and the document-grading metrics, copied unchanged from before the
-corpus cached document tokens. Every comparison requires exact equality:
+corpus cached document tokens, and the diversity filter that rescored
+every leave-one-out subset from n-gram Counters before it kept per-slot
+counts. Every comparison requires exact equality:
 the arithmetic is the same, so the floats must be bit-equal. The synthetic
 generator's former side methods for false answers and judge replies are
 kept too, as oracles for the requests `generate` now answers. So are the
@@ -157,6 +159,58 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
                 best_drop = pos
         working.pop(best_drop)
         working.append(entries[next_idx])
+        next_idx += 1
+        removals += 1
+    return FilterResult(entries=working, removals=removals)
+
+
+def _counter_set_self_bleu(entries: list[RankEntry],
+                            profiles: dict[str, metrics.NgramProfile]) -> float:
+    if len(entries) < 2:
+        return 0.0
+    return metrics.self_bleu([profiles[e.doc_id] for e in entries])
+
+
+def counter_diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
+                             threshold: float = DIVERSITY_THRESHOLD) -> FilterResult:
+    """Greedy self-similarity reduction over the top-CONTEXT_SIZE candidates.
+
+    While the working set scores above the threshold and unused candidates
+    remain: score every leave-one-out subset, drop the document whose
+    removal helps most (ties drop the worst-ranked), and pull in the next
+    candidate. Stops at the first conforming set, or flags exhaustion.
+    Each candidate's n-gram Counters are built once, when it joins the
+    working set, and dropped when the call returns.
+    """
+    entries = candidates.entries
+    if len(entries) < CONTEXT_SIZE:
+        return FilterResult(entries=list(entries), shortfall=True)
+    profiles: dict[str, metrics.NgramProfile] = {}
+
+    def join(entry: RankEntry) -> RankEntry:
+        profiles[entry.doc_id] = metrics.ngram_profile(corpus.tokens(entry.doc_id))
+        return entry
+
+    working = [join(e) for e in entries[:CONTEXT_SIZE]]
+    next_idx = CONTEXT_SIZE
+    removals = 0
+    while _counter_set_self_bleu(working, profiles) > threshold:
+        if next_idx >= len(entries):
+            return FilterResult(entries=working, exhausted=True,
+                                removals=removals)
+        best_drop = None
+        best_score = None
+        for pos in range(len(working)):
+            subset = working[:pos] + working[pos + 1:]
+            score = _counter_set_self_bleu(subset, profiles)
+            # ties prefer dropping the worst original rank
+            if (best_score is None or score < best_score
+                    or (score == best_score
+                        and working[pos].rank > working[best_drop].rank)):
+                best_score = score
+                best_drop = pos
+        working.pop(best_drop)
+        working.append(join(entries[next_idx]))
         next_idx += 1
         removals += 1
     return FilterResult(entries=working, removals=removals)
@@ -375,6 +429,21 @@ def test_self_bleu_rejects_profile_of_other_order():
 
 # ---- diversity filter ----------------------------------------------------------
 
+def _same_filter_result(candidates, corpus, threshold=DIVERSITY_THRESHOLD,
+                        text_oracle=True) -> FilterResult:
+    want = counter_diversity_filter(candidates, corpus, threshold)
+    assert filters.diversity_filter(candidates, corpus, threshold) == want
+    if text_oracle:
+        assert diversity_filter(candidates, corpus, threshold) == want
+    return want
+
+
+def _pool(texts: list[str]) -> tuple[CorpusSnapshot, RankedList]:
+    docs = [human_doc(f"d{i:02d}", text) for i, text in enumerate(texts)]
+    return snapshot_of(docs), RankedList.from_ordered(
+        "q", 1, [(d.doc_id, float(len(docs) - i)) for i, d in enumerate(docs)])
+
+
 def test_diversity_filter_identical_on_recorded_candidates(recorded):
     corpus, ranked, _ = recorded
     outcomes = Counter()
@@ -382,8 +451,7 @@ def test_diversity_filter_identical_on_recorded_candidates(recorded):
         for keep in (9, 3):
             candidates = RankedList(rl.query_id, rl.iteration,
                                     rl.entries[:keep])
-            want = diversity_filter(candidates, corpus)
-            assert filters.diversity_filter(candidates, corpus) == want
+            want = _same_filter_result(candidates, corpus)
             outcomes["shortfall"] += want.shortfall
             outcomes["exhausted"] += want.exhausted
             outcomes["removed"] += want.removals > 0
@@ -391,22 +459,98 @@ def test_diversity_filter_identical_on_recorded_candidates(recorded):
     assert outcomes["shortfall"] and outcomes["exhausted"] and outcomes["removed"]
 
 
+@pytest.fixture(scope="module")
+def late_lists(tmp_path_factory):
+    """The 100-deep candidate lists of a run's fifth iteration, by which
+    generated near-duplicates fill the top of every list."""
+    tmp = tmp_path_factory.mktemp("late")
+    corpus_path, query_path = write_demo_dataset(tmp / "data", num_docs=120,
+                                                 num_queries=12, seed=11)
+    config = parse_config_mapping({
+        "seed_corpus": str(corpus_path), "query_set": str(query_path),
+        "output_dir": str(tmp / "run"), "pipeline": "bm25",
+        "sample_size": 12, "iterations": 5, "seed": 4, "offline": True,
+        "retrieval_depth": 100,
+        "generators": [
+            {"name": "gen-a", "kind": "synthetic", "accuracy": 0.8},
+            {"name": "gen-b", "kind": "synthetic", "accuracy": 0.8},
+        ],
+    })
+    runner = ExperimentRunner(config)
+    runner.run_baseline()
+    runner._commit(runner.inject_zero_shot())
+    for iteration in range(1, 6):
+        artifacts = runner.run_iteration(iteration, em_prev=None)
+    return runner.corpus, list(artifacts.ranked.values())
+
+
+def test_diversity_filter_identical_on_late_iteration_lists(late_lists):
+    corpus, ranked = late_lists
+    exhausted = []
+    for rl in ranked:
+        assert len(rl.entries) == 100
+        want = _same_filter_result(rl, corpus, text_oracle=False)
+        if want.exhausted:
+            exhausted.append(rl)
+    # a query that used up its whole list, every candidate past the top 5
+    # having joined and all but the last 5 dropped
+    assert exhausted
+    assert filters.diversity_filter(exhausted[0], corpus).removals == 95
+    _same_filter_result(exhausted[0], corpus)
+
+
 def test_diversity_filter_identical_on_synthetic_near_duplicates():
     rng = random.Random(99)
     vocab = [f"t{i}" for i in range(15)]
     base = [rng.choice(vocab) for _ in range(30)]
-    docs = []
-    for i in range(14):
+    texts = []
+    for _ in range(14):
         toks = list(base)
         for _ in range(rng.randint(0, 12)):
             toks[rng.randrange(len(toks))] = rng.choice(vocab)
-        docs.append(human_doc(f"d{i:02d}", " ".join(toks)))
-    corpus = snapshot_of(docs)
-    candidates = RankedList.from_ordered(
-        "q", 1, [(d.doc_id, float(20 - i)) for i, d in enumerate(docs)])
+        texts.append(" ".join(toks))
+    corpus, candidates = _pool(texts)
     for threshold in (0.2, 0.5, 0.8, 0.95):
-        assert (filters.diversity_filter(candidates, corpus, threshold)
-                == diversity_filter(candidates, corpus, threshold))
+        _same_filter_result(candidates, corpus, threshold)
+
+
+def test_diversity_filter_breaks_ties_between_exact_duplicates():
+    corpus, candidates = _pool(["the harbor ledger lists the harbor tides"] * 12)
+    # every leave-one-out subset scores 1.0: each round drops the newest
+    want = _same_filter_result(candidates, corpus)
+    assert want.exhausted and want.removals == 7
+    assert want.doc_ids() == ["d00", "d01", "d02", "d03", "d11"]
+    dup = "glacier origin was recorded by the archive"
+    corpus, candidates = _pool([dup, "orchard custom notes", dup, dup,
+                                "orchard custom notes", dup, "bridge height",
+                                dup, "orchard custom notes", "festival purpose"])
+    for threshold in (0.0, 0.1, DIVERSITY_THRESHOLD, 0.9, 1.0):
+        _same_filter_result(candidates, corpus, threshold)
+
+
+def test_diversity_filter_identical_on_documents_of_zero_to_two_tokens():
+    # "?!" has no tokens; the 1- and 2-token texts have no 2- or 3-grams
+    texts = ["harbor", "?!", "harbor ledger", "harbor", "harbor ledger",
+             "ledger harbor", "-- ...", "harbor ledger tides", "ledger",
+             "harbor ledger", "tides"]
+    for start in range(4):
+        corpus, candidates = _pool(texts[start:] + texts[:start])
+        for threshold in (0.0, DIVERSITY_THRESHOLD, 1.0):
+            _same_filter_result(candidates, corpus, threshold)
+    corpus, candidates = _pool(["?!"] * 6)
+    assert _same_filter_result(candidates, corpus, 0.0).removals == 0
+
+
+def test_diversity_filter_identical_on_random_pools():
+    rng = random.Random(404)
+    for trial in range(300):
+        vocab = [f"w{i}" for i in range(rng.randint(1, 6))]
+        texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(0, 12)))
+                 or "?" for _ in range(rng.randint(4, 16))]
+        corpus, candidates = _pool(texts)
+        threshold = rng.choice((0.0, 0.1, DIVERSITY_THRESHOLD, 0.7, 1.0))
+        _same_filter_result(candidates, corpus, threshold,
+                            text_oracle=trial % 10 == 0)
 
 
 # ---- document grading from cached tokens ---------------------------------------

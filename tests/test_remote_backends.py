@@ -123,6 +123,21 @@ def test_embedding_client_wrong_row_count(stub_server):
         client.embed(["a", "b"])
 
 
+@pytest.mark.parametrize("body", [
+    b'{"data": [{"embedding": [1.0, 0.0]}, {"embedding": [Infinity, 0.0]}]}',
+    b'{"data": [{"embedding": [1.0, 0.0]}, {"embedding": [NaN, 0.0]}]}',
+    b'{"data": [{"embedding": [1.0, 0.0]}, {"embedding": [[1.0, 0.0]]}]}',
+    b'{"data": [{"embedding": [1.0, 0.0]}, {"embedding": 1.0}]}',
+    b'{"data": [{"embedding": [1.0, 0.0]}, {"embedding": ["a", "b"]}]}',
+], ids=["infinity", "nan", "2-d", "scalar", "text"])
+def test_embedding_client_rejects_non_finite_or_not_1d_rows(stub_server, body):
+    stub_server.routes["/v1/embeddings"] = lambda payload: body
+    client = RemoteEmbeddingClient(
+        Endpoint(stub_server.url("/v1/embeddings"), "m", retries=0))
+    with pytest.raises(RemoteServiceError, match="malformed embeddings reply"):
+        client.embed(["a", "b"])
+
+
 def test_embedding_client_retry_budget_exhausted(stub_server):
     stub_server.routes["/v1/embeddings"] = lambda payload: (500, {})
     client = RemoteEmbeddingClient(Endpoint(

@@ -185,6 +185,24 @@ def test_dense_rejects_non_finite_vectors():
         vindex.add_vectors([("d1", np.array([np.nan, 0.0]))])
 
 
+@pytest.mark.parametrize("query", [[math.inf, 0.0], [0.0, -math.inf],
+                                   [math.nan, 1.0]])
+def test_dense_rejects_non_finite_query_vectors(query):
+    vindex = VectorIndex()
+    vindex.add_vectors([("a", np.array([1.0, 0.0])),
+                        ("b", np.array([0.0, 1.0]))])
+    with pytest.raises(ValueError, match="non-finite"):
+        vindex.search_vector(np.array(query), 2)
+
+
+def test_ranked_list_rejects_nan_scores():
+    for pairs in ([("a", math.nan)], [("a", 2.0), ("b", math.nan)],
+                  [("a", math.nan), ("b", 1.0)]):
+        with pytest.raises(ValueError, match="NaN score"):
+            RankedList.from_ordered("q", 0, pairs).validate()
+    RankedList.from_ordered("q", 0, [("a", math.inf), ("b", -math.inf)]).validate()
+
+
 def test_hashed_embedder_deterministic_and_normalized():
     embedder = HashedEmbedder(dim=256, seed=3)
     v1, v2 = embedder.embed(["apple banana", "apple banana"])
