@@ -19,7 +19,7 @@ from .filters import MarkerStubDetector, RemoteDetectorClient
 from .generation import (CONTEXT_SIZE, DEFAULT_STYLE_MARKER,
                          DEFAULT_TEMPERATURE, RemoteChatGenerator,
                          SyntheticGenerator)
-from .remote import Endpoint
+from .remote import Endpoint, session
 from .rerank import (FAILURE_ABORT, FAILURE_PASS_THROUGH,
                      LexicalOverlapBackend, RemoteScorerBackend)
 from .retrieval import HashedEmbedder, RemoteEmbeddingClient
@@ -297,6 +297,11 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
     config.query_set = _resolve(config.query_set)
     config.output_dir = _resolve(config.output_dir)
     config.phrase_file = _resolve(config.phrase_file)
+    if (any(g.kind == "remote" for g in gen_specs) or config.embedding_endpoint
+            or config.rerank_endpoint or config.detector_endpoint):
+        # load the HTTP stack now rather than inside the first request,
+        # which a runner's construction sends; offline runs never load it
+        session()
     return config
 
 

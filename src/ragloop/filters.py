@@ -19,7 +19,7 @@ from .metrics import NgramProfile, _bleu_from_clipped, ngram_profile
 # the filter scores its windows without calling self_bleu; the name stays
 # here because the benchmark's tracer counts calls made through it
 from .metrics import self_bleu  # noqa: F401
-from .remote import Endpoint, post_json_with_retries
+from .remote import Endpoint, finite_scores, post_json_with_retries
 from .retrieval import RankEntry, RankedList
 
 logger = logging.getLogger(__name__)
@@ -44,7 +44,8 @@ class RemoteDetectorClient:
 
     POST {"texts": [...]} and expects {"results": [{"label": ...,
     "score": ...}, ...]}; a document counts as generated when the implied
-    probability of machine origin reaches 0.5.
+    probability of machine origin reaches 0.5. A row that is not an object,
+    or a score that is not a finite number, raises RemoteServiceError.
     """
 
     def __init__(self, endpoint: Endpoint):
@@ -57,13 +58,15 @@ class RemoteDetectorClient:
         reply = post_json_with_retries(self.endpoint, payload)
         if isinstance(reply, dict):
             reply = reply.get("results")
-        if not isinstance(reply, list) or len(reply) != len(texts):
+        if (not isinstance(reply, list) or len(reply) != len(texts)
+                or not all(isinstance(row, dict) for row in reply)):
             raise RemoteServiceError(
                 f"malformed detector reply from {self.endpoint.url}")
+        scores = finite_scores([row.get("score", 1.0) for row in reply],
+                               self.endpoint.url)
         labels: list[bool] = []
-        for row in reply:
+        for row, score in zip(reply, scores):
             label = str(row.get("label", "")).lower()
-            score = float(row.get("score", 1.0))
             p_generated = score if label == "generated" else 1.0 - score
             labels.append(p_generated >= 0.5)
         return labels

@@ -1,18 +1,27 @@
 """HTTP plumbing shared by the remote chat, embedding, scoring, and
 detector clients: JSON POST over one keep-alive session, with bounded
-retries and capped, jittered exponential backoff."""
+retries and capped, jittered exponential backoff.
+
+Importing this module does not import `requests`: offline runs never pay
+for the HTTP stack. `session()` loads it and builds the shared session;
+parsing a config that names a remote endpoint calls it.
+"""
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 import random
+import threading
 import time
 from dataclasses import dataclass
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import RemoteRequestRejected, RemoteServiceError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -25,9 +34,10 @@ MAX_RETRY_DELAY_S = 60.0
 # connections alive between requests, so a run opens at most as many
 # connections per host as it has requests in flight at once. Its pool is
 # thread-safe; nothing else on it (cookies, auth) is used. It reads no
-# environment itself: `_environment` does, once per endpoint.
-_SESSION = requests.Session()
-_SESSION.trust_env = False
+# environment itself: `_environment` does, once per endpoint. Built by
+# `session()` on first use, under the lock, so racing callers share one.
+_SESSION: requests.Session | None = None
+_SESSION_LOCK = threading.Lock()
 # Jitter spreads retries from concurrent callers apart in time; it is
 # unseeded and feeds nothing that a run writes.
 _JITTER = random.Random()
@@ -46,12 +56,49 @@ class Endpoint:
     backoff: float = 1.0
 
 
+def session() -> requests.Session:
+    """The shared session; the first call imports `requests` and builds it."""
+    global _SESSION
+    if _SESSION is None:
+        with _SESSION_LOCK:
+            if _SESSION is None:
+                import requests
+                built = requests.Session()
+                built.trust_env = False
+                _SESSION = built
+    return _SESSION
+
+
+def __getattr__(name: str):
+    # `remote.requests` stays a module attribute for code that wraps it,
+    # and imports the package only when read
+    if name == "requests":
+        import requests
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def finite_scores(values, url: str) -> list[float]:
+    """A reply's scores as finite floats; RemoteServiceError naming `url`
+    if any is not a number or is NaN or infinite."""
+    try:
+        scores = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise RemoteServiceError(
+            f"malformed scores in reply from {url}: {exc}") from exc
+    if not all(math.isfinite(s) for s in scores):
+        raise RemoteServiceError(
+            f"malformed scores in reply from {url}: not every score is finite")
+    return scores
+
+
 @functools.lru_cache(maxsize=64)
 def _environment(url: str) -> dict:
     """What requests reads from the environment for `url`: proxies
     (HTTP_PROXY, NO_PROXY, ...), the CA bundle and .netrc credentials.
     Read once per endpoint, not on every call, where scanning os.environ
     cost about as much CPU as the rest of the request."""
+    import requests
     settings = requests.Session().merge_environment_settings(
         url, {}, None, None, None)
     return {"proxies": settings["proxies"], "verify": settings["verify"],
@@ -88,6 +135,7 @@ def post_json_with_retries(endpoint: Endpoint, payload: dict):
     after the first. Any other 4xx raises RemoteRequestRejected at once; an
     exhausted budget raises RemoteServiceError.
     """
+    import requests
     url = endpoint.url
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key:
@@ -97,8 +145,8 @@ def post_json_with_retries(endpoint: Endpoint, payload: dict):
     for attempt in range(attempts):
         delay: float | None = None
         try:
-            resp = _SESSION.post(url, json=payload, timeout=endpoint.timeout,
-                                 headers=headers, **_environment(url))
+            resp = session().post(url, json=payload, timeout=endpoint.timeout,
+                                  headers=headers, **_environment(url))
             status = resp.status_code
             if status < 400:
                 return resp.json()

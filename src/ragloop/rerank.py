@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .corpus import CorpusSnapshot
 from .errors import RemoteServiceError
-from .remote import Endpoint, post_json_with_retries
+from .remote import Endpoint, finite_scores, post_json_with_retries
 from .retrieval import RankedList, RankEntry, tokenize
 
 logger = logging.getLogger(__name__)
@@ -46,7 +46,8 @@ class RemoteScorerBackend:
     """Client for a cross-encoder scoring endpoint.
 
     POST {"query": ..., "passages": [...]} and expects either a bare JSON
-    array of floats or {"scores": [...]}.
+    array of floats or {"scores": [...]}. A score that is not a finite
+    number raises RemoteServiceError, as a failed request does.
     """
 
     reads_tokens = False
@@ -68,7 +69,7 @@ class RemoteScorerBackend:
             if not isinstance(reply, list) or len(reply) != len(batch):
                 raise RemoteServiceError(
                     f"malformed scorer reply from {self.endpoint.url}")
-            scores.extend(float(s) for s in reply)
+            scores.extend(finite_scores(reply, self.endpoint.url))
         return scores
 
 

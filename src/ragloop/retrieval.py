@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -121,10 +122,15 @@ class InvertedIndex:
     doc_id strings. Searches may run concurrently between additions: the
     caches they fill lazily are derived from data no search changes, and
     each is published by a single assignment.
+
+    `postings` maps each term to two parallel `array("i")`: the indexes of
+    the documents that hold it, ascending, and its frequency in each; 8
+    bytes a posting. Numpy reads them through a copy, never a view: a view
+    exports the array's buffer, and while one lives `add` cannot append.
     """
 
     def __init__(self):
-        self.postings: dict[str, list[tuple[int, int]]] = {}
+        self.postings: dict[str, tuple[array, array]] = {}
         self.doc_ids: list[str] = []
         self._idx_of: dict[str, int] = {}
         self.doc_lengths: list[int] = []
@@ -156,7 +162,11 @@ class InvertedIndex:
             for t in tokens:
                 tf[t] = tf.get(t, 0) + 1
             for term, count in tf.items():
-                self.postings.setdefault(term, []).append((idx, count))
+                plist = self.postings.get(term)
+                if plist is None:
+                    plist = self.postings[term] = (array("i"), array("i"))
+                plist[0].append(idx)
+                plist[1].append(count)
         if docs:
             self._postings_arrays.clear()
             self._caches = None
@@ -176,15 +186,17 @@ class InvertedIndex:
         if cached is not None:
             return cached
         plist = self.postings.get(term)
-        if not plist:
+        if plist is None:
             return None
-        idxs = np.fromiter((p[0] for p in plist), dtype=np.int64, count=len(plist))
-        tfs = np.fromiter((p[1] for p in plist), dtype=np.float64, count=len(plist))
+        # astype copies, so no view of the arrays' buffers outlives this line
+        idxs = np.frombuffer(plist[0], dtype=np.intc).astype(np.int64)
+        tfs = np.frombuffer(plist[1], dtype=np.intc).astype(np.float64)
         self._postings_arrays[term] = (idxs, tfs)
         return idxs, tfs
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
+        plist = self.postings.get(term)
+        df = len(plist[0]) if plist is not None else 0
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
     def search(self, query: str, k: int) -> list[tuple[str, float]]:

@@ -244,7 +244,7 @@ class ExperimentRunner:
     def _grade(self, query: QueryRecord, answers: list[str],
                cleaned: str) -> tuple[int, int | None]:
         """Containment of any of `answers`, and with a judge its verdict on
-        the first contained answer."""
+        the first contained answer; None when the judge cannot be reached."""
         hit = M.em(answers, cleaned)
         em_llm_value: int | None = None
         if self.judge is not None:
@@ -252,9 +252,14 @@ class ExperimentRunner:
                 em_llm_value = 0
             else:
                 matched = next(a for a in answers if M.em([a], cleaned) == 1)
-                verdict, _ = judge_support(self.judge, query.question,
-                                           cleaned, matched)
-                em_llm_value = M.em_llm(hit, verdict)
+                try:
+                    verdict, _ = judge_support(self.judge, query.question,
+                                               cleaned, matched)
+                except GenerationFailure as exc:
+                    logger.warning("judge failed for query %s; em_llm not "
+                                   "recorded: %s", query.query_id, exc)
+                else:
+                    em_llm_value = M.em_llm(hit, verdict)
         return hit, em_llm_value
 
     # ---- metric assembly -------------------------------------------------

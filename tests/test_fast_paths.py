@@ -324,8 +324,9 @@ def oracle_bm25_search(index: InvertedIndex, query: str,
         plist = index.postings.get(term)
         if not plist:
             continue
-        idxs = np.fromiter((p[0] for p in plist), dtype=np.int64, count=len(plist))
-        tfs = np.fromiter((p[1] for p in plist), dtype=np.float64, count=len(plist))
+        doc_idxs, term_freqs = plist
+        idxs = np.fromiter(doc_idxs, dtype=np.int64, count=len(doc_idxs))
+        tfs = np.fromiter(term_freqs, dtype=np.float64, count=len(term_freqs))
         idf = index.idf(term)
         scores[idxs] += idf * tfs / (tfs + norm[idxs])
         matched[idxs] = True

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from ragloop.errors import GenerationFailure, RemoteServiceError
-from ragloop.filters import RemoteDetectorClient
+from ragloop.filters import RemoteDetectorClient, source_filter
 from ragloop.generation import (GenerationRequest, RemoteChatGenerator,
                                 generate, judge_support)
 from ragloop.remote import Endpoint
-from ragloop.retrieval import RemoteEmbeddingClient, VectorIndex
+from ragloop.retrieval import RankedList, RemoteEmbeddingClient, VectorIndex
+
+from conftest import human_doc, snapshot_of
 
 
 def test_chat_generator_roundtrip(stub_server):
@@ -97,7 +99,6 @@ def test_embedding_client_feeds_vector_index(stub_server):
     stub_server.routes["/v1/embeddings"] = embed
     client = RemoteEmbeddingClient(
         Endpoint(stub_server.url("/v1/embeddings"), "m", retries=0))
-    from conftest import human_doc
     vindex = VectorIndex()
     vindex.add_documents([human_doc("d1", "apple pie"),
                           human_doc("d2", "pure banana")], client)
@@ -175,6 +176,31 @@ def test_detector_client_malformed_reply(stub_server):
     client = RemoteDetectorClient(Endpoint(stub_server.url("/detect"), retries=0))
     with pytest.raises(RemoteServiceError, match="malformed"):
         client.classify(["a", "b"])
+
+
+@pytest.mark.parametrize("bad_row", [
+    ["generated", 0.9],
+    {"label": "generated", "score": "high"},
+    {"label": "human", "score": float("nan")},
+], ids=["not-an-object", "text-score", "nan-score"])
+def test_detector_unreadable_row_falls_back_to_unfiltered(stub_server, bad_row):
+    def detect(payload):
+        rows = [{"label": "generated", "score": 0.9} for _ in payload["texts"]]
+        rows[-1] = bad_row
+        return {"results": rows}
+
+    stub_server.routes["/detect"] = detect
+    client = RemoteDetectorClient(Endpoint(stub_server.url("/detect"), retries=0))
+    with pytest.raises(RemoteServiceError, match="malformed"):
+        client.classify(["a", "b"])
+    ids = [f"d{i}" for i in range(8)]
+    corpus = snapshot_of([human_doc(d, f"text {d}") for d in ids])
+    candidates = RankedList.from_ordered(
+        "q", 1, [(d, float(len(ids) - i)) for i, d in enumerate(ids)])
+    # every readable row says generated, so only the fallback keeps any
+    result = source_filter(candidates, client, corpus)
+    assert result.fallback_unfiltered
+    assert result.doc_ids() == ids[:5]
 
 
 def test_client_error_is_not_retried(stub_server):

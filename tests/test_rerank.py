@@ -4,8 +4,8 @@ import pytest
 
 from ragloop.errors import RemoteServiceError
 from ragloop.remote import Endpoint
-from ragloop.rerank import (FAILURE_PASS_THROUGH, LexicalOverlapBackend,
-                            RemoteScorerBackend, rerank)
+from ragloop.rerank import (FAILURE_ABORT, FAILURE_PASS_THROUGH,
+                            LexicalOverlapBackend, RemoteScorerBackend, rerank)
 from ragloop.retrieval import RankedList
 
 from conftest import human_doc, snapshot_of
@@ -134,6 +134,27 @@ def test_rerank_failure_pass_through_policy(stub_server):
                  failure_policy=FAILURE_PASS_THROUGH)
     assert out.passed_through
     assert out.ranked.doc_ids() == ["a", "b"]
+
+
+@pytest.mark.parametrize("body", [b'{"scores": [0.5, NaN]}',
+                                  b'{"scores": [0.5, "high"]}'],
+                         ids=["nan", "text"])
+@pytest.mark.parametrize("policy", [FAILURE_PASS_THROUGH, FAILURE_ABORT])
+def test_unreadable_scores_fall_under_the_failure_policy(stub_server, body,
+                                                         policy):
+    stub_server.routes["/score"] = lambda payload: body
+    backend = RemoteScorerBackend(Endpoint(stub_server.url("/score"), retries=0))
+    candidates = _candidates(["a", "b"])
+    corpus = _corpus({"a": "x", "b": "y"})
+    if policy == FAILURE_ABORT:
+        with pytest.raises(RemoteServiceError, match="malformed scores"):
+            rerank(backend, "q", candidates, depth=2, corpus=corpus,
+                   failure_policy=policy)
+    else:
+        out = rerank(backend, "q", candidates, depth=2, corpus=corpus,
+                     failure_policy=policy)
+        assert out.passed_through and out.ranked is candidates
+    assert len(stub_server.requests) == 1
 
 
 def test_lexical_overlap_same_scores_from_tokens_and_text():

@@ -98,7 +98,8 @@ def test_index_add_bookkeeping():
     assert index.doc_count == 2
     assert index.total_length == 5
     assert ("apple" in index.postings and "banana" in index.postings)
-    assert len(index.postings["apple"]) == 1
+    doc_idxs, _term_freqs = index.postings["apple"]
+    assert len(doc_idxs) == 1
 
 
 def test_index_add_rejects_reindexing():

@@ -757,6 +757,55 @@ def test_judge_grading_produces_em_llm_fields(tmp_path):
     assert all(r["em_llm"] == r["em"] for r in rows)
 
 
+def test_failed_judge_call_costs_one_record(tmp_path, stub_server):
+    # one remote generator answers and judges; it answers queries with an
+    # even last digit, says yes to every judge request, and refuses the
+    # 5th to 8th judge requests with 503
+    corpus, queries = _dataset(tmp_path)
+    by_question = {q["question"]: q for q in read_jsonl(queries)}
+    judge_calls = {"n": 0}
+    refused: list[str] = []
+
+    def chat(payload):
+        prompt = payload["messages"][0]["content"]
+        question = prompt.split("Question:")[1].split("\n")[0].strip()
+        query = by_question[question]
+        if prompt.startswith("Does the following response support"):
+            judge_calls["n"] += 1
+            if 5 <= judge_calls["n"] <= 8:
+                refused.append(query["query_id"])
+                return 503, {"error": "judge down"}
+            return {"choices": [{"message": {"content": "Yes."}}]}
+        known = int(query["query_id"][-1]) % 2 == 0
+        text = (f"The answer is {query['answers'][0]}." if known
+                else "No answer is known.")
+        return {"choices": [{"message": {"content": text}}]}
+
+    stub_server.routes["/v1/chat"] = chat
+    config = _config(tmp_path, offline=False, retries=0, backoff=0.0,
+                     grade_with_judge=True,
+                     generators=[{"name": "gen-r", "kind": "remote",
+                                  "model": "m",
+                                  "endpoint": stub_server.url("/v1/chat")}])
+    run_experiment(config)
+    out = Path(config.output_dir)
+    assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+    assert len(refused) == 4
+    ungraded = []
+    for i in range(3):
+        phase = out / "iterations" / f"iter-{i:02d}"
+        rows = read_jsonl(phase / "generations.jsonl")
+        assert len(rows) == 12
+        missing = [r for r in rows if r["em_llm"] is None]
+        ungraded.extend(missing)
+        metrics = json.loads((phase / "metrics.json").read_text())["metrics"]
+        pearson = metrics["pearson_em_em_llm"]
+        # the judge says yes to every contained answer, so em_llm equals em
+        assert pearson == (None if missing else pytest.approx(1.0))
+    assert sorted(r["query_id"] for r in ungraded) == sorted(refused)
+    assert all(r["em"] == 1 for r in ungraded)
+
+
 def test_misinfo_judge_grades_chosen_false_answer(tmp_path, monkeypatch):
     compose = SyntheticGenerator.generate
 
