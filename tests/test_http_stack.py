@@ -15,11 +15,12 @@ from pathlib import Path
 import requests
 
 from ragloop import remote
+from ragloop.synthdata import write_demo_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# prints which HTTP modules are loaded after parsing the config in argv[2]
-# (a JSON mapping) and, with argv[3] == "run", running it
+# prints which HTTP modules are loaded after parsing the config in argv[1]
+# (a JSON mapping) and, when argv[2] is "run", running it
 _PROBE = """
 import json, sys
 from ragloop.config import parse_config_mapping
@@ -42,7 +43,6 @@ def _loaded_http_modules(raw: dict, action: str) -> list[str]:
 
 
 def _raw(tmp_path, **overrides) -> dict:
-    from ragloop.synthdata import write_demo_dataset
     corpus, queries = write_demo_dataset(tmp_path / "data", num_docs=60,
                                          num_queries=6, seed=3)
     raw = {"seed_corpus": str(corpus), "query_set": str(queries),
