@@ -7,6 +7,7 @@ import json
 import logging
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from .config import ensure_valid, load_config
 from .errors import ConfigValidationError, RagLoopError
@@ -30,7 +31,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _overrides(args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if args.out:
-        overrides["output_dir"] = args.out
+        # relative to the current directory, as `report --out` is
+        overrides["output_dir"] = str(Path(args.out).absolute())
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.offline:

@@ -53,13 +53,16 @@ def load_query_set(path: str | Path) -> list[QueryRecord]:
                 raise CorpusFormatError(f"invalid JSON record: {exc.msg}",
                                         path=str(path), line_no=line_no) from exc
             try:
-                qid = str(rec["query_id"])
-                question = str(rec["question"])
-                answers = [str(a) for a in rec["answers"]]
+                qid, question, answers = (str(rec["query_id"]), rec["question"],
+                                          rec["answers"])
             except (KeyError, TypeError) as exc:
                 raise CorpusFormatError(
                     "query record needs query_id, question, answers",
                     path=str(path), line_no=line_no) from exc
+            if not isinstance(question, str) or not isinstance(answers, list):
+                raise CorpusFormatError("question must be a string and answers "
+                                        "a list", path=str(path), line_no=line_no)
+            answers = [str(a) for a in answers]
             if not answers:
                 raise CorpusFormatError(f"query {qid!r} has no answers",
                                         path=str(path), line_no=line_no)
@@ -259,14 +262,12 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
     for number, g in entries("generators", "generator",
                              {f.name: f.type for f in fields(GeneratorSpec)}):
         try:
-            gen_specs.append(GeneratorSpec(
-                name=g["name"], kind=g.get("kind", "synthetic"),
-                accuracy=float(g.get("accuracy", 1.0)),
-                marker=g.get("marker", DEFAULT_STYLE_MARKER),
-                endpoint=g.get("endpoint", ""), model=g.get("model", ""),
-                temperature=float(g.get("temperature",
-                                        data.get("temperature", DEFAULT_TEMPERATURE))),
-                api_key_env=g.get("api_key_env", "")))
+            spec = {"temperature": data.get("temperature", DEFAULT_TEMPERATURE),
+                    **g}
+            gen = GeneratorSpec(name=spec.pop("name"), **spec)
+            # an int accuracy or temperature is hashed as a float, as it always was
+            gen.accuracy, gen.temperature = float(gen.accuracy), float(gen.temperature)
+            gen_specs.append(gen)
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"generator entry {number} is malformed: {exc!r}")
     schedule = []

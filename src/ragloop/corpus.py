@@ -230,8 +230,10 @@ def ingest_seed_corpus(path: str | Path) -> CorpusSnapshot:
             if doc_id in seen:
                 raise DuplicateDocumentError(doc_id, line_no=line_no)
             seen[doc_id] = line_no
-            text = str(rec["text"])
-            title = rec.get("title")
+            text, title = rec["text"], rec.get("title")
+            if not isinstance(text, str) or not isinstance(title, (str, type(None))):
+                raise CorpusFormatError("text must be a string, and title a string "
+                                        "or absent", path=str(path), line_no=line_no)
             if title:
                 text = f"{title}{TITLE_TEXT_SEPARATOR}{text}"
             try:

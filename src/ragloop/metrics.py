@@ -69,23 +69,16 @@ def em_llm(contains: int, judge_verdict: str) -> int:
     return 1 if contains == 1 and judge_verdict == "yes" else 0
 
 
-def acc_at_k(ranked: Sequence[RankedList], gold: Mapping[str, Sequence[str]],
-             k: int, corpus: CorpusSnapshot) -> float:
-    """Percentage of queries with a gold answer in some top-k document."""
+def acc_at_k(first_ranks: Sequence[int | None], k: int) -> float:
+    """Percentage of queries with a gold answer in some top-k document,
+    from each query's first correct rank (`first_right_ranks(...)[0]`,
+    None when no listed document holds one)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not ranked:
+    if not first_ranks:
         return 0.0
-    hits = 0
-    for rl in ranked:
-        if rl.query_id not in gold:
-            raise ValueError(f"query {rl.query_id!r} has no gold answers")
-        needles = _gold_needles(gold[rl.query_id])
-        for entry in rl.top(k):
-            if _contains_any(needles, corpus.tokens(entry.doc_id)):
-                hits += 1
-                break
-    return 100.0 * hits / len(ranked)
+    hits = sum(1 for rank in first_ranks if rank is not None and rank <= k)
+    return 100.0 * hits / len(first_ranks)
 
 
 def dominance_p(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
@@ -190,33 +183,23 @@ def _bleu_from_clipped(clipped: Iterable[int], c: int,
     return bp * math.exp(log_sum)
 
 
-def self_bleu(docs: Sequence[str | Sequence[str] | NgramProfile],
-              max_n: int = 3) -> float:
+def self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> float:
     """Mean BLEU of each document against the rest of the set.
 
     High values mean the set is homogeneous. Uses uniform 1..max_n-gram
     weights and no smoothing, so disjoint sets score exactly 0 and
     identical sets exactly 1.
 
-    A document is a text, a token sequence (such as the corpus's cached
-    tokens) or an `NgramProfile` its caller built. Each document's n-gram
-    Counters are built once per call, or once per caller that passes
-    profiles, and are dropped afterwards: keeping them for every document
-    that reaches a top-5 list would cost several times the memory of the
-    cached tokens they are built from.
+    A document is a text or a token sequence (such as the corpus's cached
+    tokens). Each document's n-gram Counters are built once per call and
+    dropped afterwards: keeping them for every document that reaches a
+    top-5 list would cost several times the memory of the cached tokens
+    they are built from.
     """
     if len(docs) < 2:
         raise ValueError("self_bleu needs at least 2 documents")
-    profiles = []
-    for d in docs:
-        if isinstance(d, NgramProfile):
-            if len(d.counts) != max_n:
-                raise ValueError(f"profile has {len(d.counts)}-gram counts, "
-                                 f"self_bleu needs {max_n}")
-            profiles.append(d)
-        else:
-            profiles.append(ngram_profile(
-                tokenize(d) if isinstance(d, str) else d, max_n))
+    profiles = [ngram_profile(tokenize(d) if isinstance(d, str) else d, max_n)
+                for d in docs]
     set_maxima = [_set_maxima([p.counts[n] for p in profiles])
                   for n in range(max_n)]
     lengths = [p.length for p in profiles]

@@ -56,21 +56,6 @@ class RankedList:
     def top(self, k: int) -> list[RankEntry]:
         return self.entries[:k]
 
-    def validate(self) -> None:
-        seen: set[str] = set()
-        prev_score = math.inf
-        for i, e in enumerate(self.entries, start=1):
-            if e.rank != i:
-                raise ValueError(f"ranks must be consecutive from 1, got {e.rank} at {i}")
-            if math.isnan(e.score):
-                raise ValueError(f"NaN score for {e.doc_id!r}")
-            if e.score > prev_score:
-                raise ValueError("scores must be non-increasing by rank")
-            if e.doc_id in seen:
-                raise ValueError(f"duplicate doc_id {e.doc_id!r} in ranked list")
-            seen.add(e.doc_id)
-            prev_score = e.score
-
     @classmethod
     def from_ordered(cls, query_id: str, iteration: int,
                      pairs: list[tuple[str, float]]) -> "RankedList":
@@ -371,13 +356,10 @@ class VectorIndex:
         if not np.all(np.isfinite(query_vec)):
             raise ValueError("non-finite query embedding")
         matrix, norms, id_rank = self._ensure_caches()
-        qnorm = float(np.linalg.norm(query_vec))
-        if qnorm == 0.0:
-            sims = np.zeros(self.doc_count, dtype=np.float64)
-        else:
-            denom = norms * qnorm
-            dots = matrix @ query_vec
-            sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+        # a zero query vector makes every denominator 0, so every score 0.0
+        denom = norms * float(np.linalg.norm(query_vec))
+        dots = matrix @ query_vec
+        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
         top = _top_k(np.arange(self.doc_count), sims, id_rank, k)
         return [(self.doc_ids[i], float(sims[i])) for i in top]
 

@@ -133,7 +133,6 @@ class ExperimentRunner:
         self.config_hash = config.config_hash()
         all_queries = load_query_set(config.query_set)
         self.queries = sample_queries(all_queries, config.sample_size, config.seed)
-        self.gold = {q.query_id: q.answers for q in self.queries}
         self.corpus = ingest_seed_corpus(config.seed_corpus)
         self.index = InvertedIndex()
         self.index.add(list(self.corpus.iter_documents()))
@@ -271,8 +270,10 @@ class ExperimentRunner:
                        fr_by_query: dict[str, tuple[int | None, int | None]],
                        ) -> M.IterationMetrics:
         ranked_lists = [ranked[q.query_id] for q in self.queries]
-        acc5 = M.acc_at_k(ranked_lists, self.gold, 5, self.corpus)
-        acc20 = M.acc_at_k(ranked_lists, self.gold, 20, self.corpus)
+        firsts = [fr_by_query[q.query_id] for q in self.queries]
+        first_any = [a for a, _ in firsts]
+        acc5 = M.acc_at_k(first_any, 5)
+        acc20 = M.acc_at_k(first_any, 20)
         dom = M.dominance_p(ranked_lists, self.corpus, k=5)
         shares = M.source_share(ranked_lists, self.corpus, top_n=50)
 
@@ -320,14 +321,8 @@ class ExperimentRunner:
             crn = crn_by_query[rec.query_id]
             hist["em1" if rec.em == 1 else "em0"][crn] += 1
 
-        any_ranks = []
-        human_ranks = []
-        for q in self.queries:
-            first_any, first_human = fr_by_query[q.query_id]
-            if first_any is not None:
-                any_ranks.append(first_any)
-            if first_human is not None:
-                human_ranks.append(first_human)
+        any_ranks = [a for a in first_any if a is not None]
+        human_ranks = [h for _, h in firsts if h is not None]
         first_right = {
             "mean_any": (sum(any_ranks) / len(any_ranks)) if any_ranks else None,
             "count_any": len(any_ranks),
@@ -521,6 +516,7 @@ class ExperimentRunner:
     def _build_misinfo_docs(self, specs) -> list[Document]:
         answer_backend = self.generators[self.config.generators[0].name]
         self.misinfo_specs = {}
+        docs = []
         for query in self.queries:
             try:
                 false_answers = generate_false_answers(
@@ -536,16 +532,11 @@ class ExperimentRunner:
             self.misinfo_specs[query.query_id] = MisinfoSpec(
                 query_id=query.query_id, false_answers=false_answers,
                 chosen_false_answer=chosen)
-        docs = []
-        for query in self.queries:
-            spec = self.misinfo_specs.get(query.query_id)
-            if spec is None:
-                continue
             for gen_spec in specs:
                 try:
                     raw = generate_mis_passage(
                         self.generators[gen_spec.name], query.question,
-                        spec.chosen_false_answer, query.answers,
+                        chosen, query.answers,
                         query_id=query.query_id, iteration=1)
                 except GenerationFailure as exc:
                     logger.warning("mis-passage failed for query %s / %s: %s",

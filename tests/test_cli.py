@@ -85,6 +85,20 @@ def test_cli_overrides_seed_and_out(tmp_path):
     assert manifest["seed"] == 99
 
 
+def test_cli_out_is_relative_to_the_current_directory(tmp_path, monkeypatch,
+                                                      capsys):
+    cfg = _write_config(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["run", "--config", str(cfg), "--out", "myrun"]) == 0
+    assert (work / "myrun" / "manifest.json").is_file()
+    assert not (tmp_path / "myrun").exists()
+    capsys.readouterr()
+    assert main(["report", "--out", "myrun"]) == 0
+    assert "series_accuracy.tsv" in capsys.readouterr().out
+
+
 def test_cli_resume_completes_quietly(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0

@@ -63,6 +63,19 @@ def test_ingest_missing_field_rejected(tmp_path):
         ingest_seed_corpus(path)
 
 
+@pytest.mark.parametrize("record", [
+    {"doc_id": "d2", "text": None},
+    {"doc_id": "d2", "text": ["a", "b"]},
+    {"doc_id": "d2", "text": "fine", "title": 5},
+], ids=["text-null", "text-list", "title-number"])
+def test_ingest_rejects_wrongly_typed_text_or_title(tmp_path, record):
+    path = write_jsonl_file(tmp_path / "seed.jsonl",
+                            [{"doc_id": "d1", "text": "fine"}, record])
+    with pytest.raises(CorpusFormatError, match=r"seed\.jsonl:2: text must be a "
+                                                 r"string, and title a string"):
+        ingest_seed_corpus(path)
+
+
 def _seed(tmp_path, n=3):
     records = [{"doc_id": f"d{i}", "text": f"doc {i} text"} for i in range(n)]
     return ingest_seed_corpus(write_jsonl_file(tmp_path / "seed.jsonl", records))

@@ -165,10 +165,10 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
 
 
 def _counter_set_self_bleu(entries: list[RankEntry],
-                            profiles: dict[str, metrics.NgramProfile]) -> float:
+                            tokens: dict[str, tuple[str, ...]]) -> float:
     if len(entries) < 2:
         return 0.0
-    return metrics.self_bleu([profiles[e.doc_id] for e in entries])
+    return metrics.self_bleu([tokens[e.doc_id] for e in entries])
 
 
 def counter_diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
@@ -179,22 +179,22 @@ def counter_diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
     remain: score every leave-one-out subset, drop the document whose
     removal helps most (ties drop the worst-ranked), and pull in the next
     candidate. Stops at the first conforming set, or flags exhaustion.
-    Each candidate's n-gram Counters are built once, when it joins the
-    working set, and dropped when the call returns.
+    Each subset is scored by `metrics.self_bleu` on the corpus's cached
+    tokens, read once per candidate when it joins the working set.
     """
     entries = candidates.entries
     if len(entries) < CONTEXT_SIZE:
         return FilterResult(entries=list(entries), shortfall=True)
-    profiles: dict[str, metrics.NgramProfile] = {}
+    tokens: dict[str, tuple[str, ...]] = {}
 
     def join(entry: RankEntry) -> RankEntry:
-        profiles[entry.doc_id] = metrics.ngram_profile(corpus.tokens(entry.doc_id))
+        tokens[entry.doc_id] = corpus.tokens(entry.doc_id)
         return entry
 
     working = [join(e) for e in entries[:CONTEXT_SIZE]]
     next_idx = CONTEXT_SIZE
     removals = 0
-    while _counter_set_self_bleu(working, profiles) > threshold:
+    while _counter_set_self_bleu(working, tokens) > threshold:
         if next_idx >= len(entries):
             return FilterResult(entries=working, exhausted=True,
                                 removals=removals)
@@ -202,7 +202,7 @@ def counter_diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
         best_score = None
         for pos in range(len(working)):
             subset = working[:pos] + working[pos + 1:]
-            score = _counter_set_self_bleu(subset, profiles)
+            score = _counter_set_self_bleu(subset, tokens)
             # ties prefer dropping the worst original rank
             if (best_score is None or score < best_score
                     or (score == best_score
@@ -390,7 +390,7 @@ def recorded_run(tmp_path_factory):
 def recorded(recorded_run):
     runner, phases = recorded_run
     ranked = [rl for art in phases for rl in art.ranked.values()]
-    return runner.corpus, ranked, runner.gold
+    return runner.corpus, ranked, {q.query_id: q.answers for q in runner.queries}
 
 
 # ---- Self-BLEU ----------------------------------------------------------------
@@ -405,8 +405,6 @@ def test_self_bleu_bit_equal_on_random_token_sets():
         want = self_bleu(docs, max_n)
         assert metrics.self_bleu(docs, max_n) == want
         assert metrics.self_bleu([" ".join(d) for d in docs], max_n) == want
-        profiles = [metrics.ngram_profile(d, max_n) for d in docs]
-        assert metrics.self_bleu(profiles, max_n) == want
 
 
 def test_self_bleu_bit_equal_on_recorded_top5_sets(recorded):
@@ -420,12 +418,6 @@ def test_self_bleu_bit_equal_on_recorded_top5_sets(recorded):
         assert metrics.self_bleu([corpus.tokens(d) for d in ids]) == want
         compared += 1
     assert compared >= 20
-
-
-def test_self_bleu_rejects_profile_of_other_order():
-    profiles = [metrics.ngram_profile(["a", "b"], 2)] * 2
-    with pytest.raises(ValueError, match="2-gram counts"):
-        metrics.self_bleu(profiles, max_n=3)
 
 
 # ---- diversity filter ----------------------------------------------------------
@@ -558,9 +550,10 @@ def test_diversity_filter_identical_on_random_pools():
 
 def test_grading_identical_on_recorded_lists(recorded):
     corpus, ranked, gold = recorded
-    for k in (1, 5, 12):
-        assert metrics.acc_at_k(ranked, gold, k, corpus) == \
-            acc_at_k(ranked, gold, k, corpus)
+    first_any = [metrics.first_right_ranks(rl, gold[rl.query_id], corpus)[0]
+                 for rl in ranked]
+    for k in (1, 5, 12, 20):
+        assert metrics.acc_at_k(first_any, k) == acc_at_k(ranked, gold, k, corpus)
     for rl in ranked:
         answers = gold[rl.query_id]
         assert metrics.context_right_num(rl, answers, corpus) == \

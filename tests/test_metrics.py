@@ -71,35 +71,30 @@ def _mini_corpus():
     return snapshot_of(docs)
 
 
+def _first_any(ranked, corpus):
+    return first_right_ranks(ranked, ["Paris"], corpus)[0]
+
+
 def test_acc_at_k_rank_thresholds():
     corpus = _mini_corpus()
-    gold = {"q": ["Paris"]}
     at3 = _ranked("q", ["miss1", "miss2", "hit", "miss3", "miss4"])
-    assert acc_at_k([at3], gold, 5, corpus) == 100.0
+    assert acc_at_k([_first_any(at3, corpus)], 5) == 100.0
     at7 = _ranked("q", ["miss1", "miss2", "miss3", "miss4", "miss5",
                         "miss6", "hit"])
-    assert acc_at_k([at7], gold, 5, corpus) == 0.0
-    assert acc_at_k([at7], gold, 20, corpus) == 100.0
+    assert acc_at_k([_first_any(at7, corpus)], 5) == 0.0
+    assert acc_at_k([_first_any(at7, corpus)], 20) == 100.0
 
 
 def test_acc_at_k_ratio():
     corpus = _mini_corpus()
-    gold = {f"q{i}": ["Paris"] for i in range(10)}
     lists = [_ranked(f"q{i}", ["hit" if i < 5 else "miss1"]) for i in range(10)]
-    assert acc_at_k(lists, gold, 5, corpus) == 50.0
-
-
-def test_acc_at_k_missing_golds_rejected():
-    corpus = _mini_corpus()
-    with pytest.raises(ValueError, match="gold"):
-        acc_at_k([_ranked("unknown", ["hit"])], {"q": ["x"]}, 5, corpus)
+    assert acc_at_k([_first_any(rl, corpus) for rl in lists], 5) == 50.0
 
 
 def test_acc_at_k_non_decreasing_in_k():
     corpus = _mini_corpus()
-    gold = {"q": ["Paris"]}
     lst = _ranked("q", ["miss1", "miss2", "miss3", "hit"])
-    values = [acc_at_k([lst], gold, k, corpus) for k in range(1, 6)]
+    values = [acc_at_k([_first_any(lst, corpus)], k) for k in range(1, 6)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 

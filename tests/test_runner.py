@@ -200,6 +200,21 @@ def test_query_set_loader_errors(tmp_path):
         load_query_set(path)
 
 
+@pytest.mark.parametrize("record", [
+    {"query_id": "q2", "question": "x", "answers": "Paris"},
+    {"query_id": "q2", "question": None, "answers": ["Paris"]},
+    {"query_id": "q2", "question": ["x"], "answers": ["Paris"]},
+], ids=["answers-string", "question-null", "question-list"])
+def test_query_set_rejects_wrongly_typed_fields(tmp_path, record):
+    # a string of answers used to become one answer per character
+    path = tmp_path / "queries.jsonl"
+    path.write_text(json.dumps({"query_id": "q1", "question": "ok",
+                                "answers": ["a"]}) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"queries\.jsonl:2: question must "
+                                                 r"be a string and answers a list"):
+        load_query_set(path)
+
+
 def test_sample_queries_deterministic_and_order_insensitive(tmp_path):
     _, qpath = _dataset(tmp_path, queries=30)
     records = load_query_set(qpath)
@@ -701,23 +716,38 @@ def test_rerank_failure_policy_on_scorer_outage(tmp_path, stub_server, policy):
     assert stub_server.requests
 
 
-def test_tracer_sees_every_module_of_a_remote_run(tmp_path, stub_server):
+@pytest.mark.parametrize("kind", ["remote", "bm25-diversity"])
+def test_tracer_sees_every_module_of_a_run(tmp_path, stub_server, kind):
     # perfbench/spans.py wraps these functions by module attribute; a client
     # that stops calling post_json_with_retries by its module-level name, or
-    # a renamed runner helper, silently reads 0 in the benchmark
-    _remote_routes(stub_server)
+    # a renamed runner helper or metric, silently reads 0 in the benchmark
     corpus, queries = _dataset(tmp_path)
     raw = {
         "seed_corpus": str(corpus), "query_set": str(queries),
-        "output_dir": str(tmp_path / "run"), "pipeline": "dense+rerank",
-        "filter_mode": "source", "sample_size": 6, "iterations": 1,
-        "seed": 17, "retries": 0, "max_in_flight": 2,
-        "generators": [{"name": "gen-a", "kind": "remote", "model": "gen-a",
-                        "endpoint": stub_server.url("/v1/chat")}],
-        "embedding_endpoint": stub_server.url("/v1/embeddings"),
-        "rerank_endpoint": stub_server.url("/v1/score"),
-        "detector_endpoint": stub_server.url("/v1/detect"),
+        "output_dir": str(tmp_path / "run"), "sample_size": 6,
+        "iterations": 1, "seed": 17,
     }
+    if kind == "remote":
+        _remote_routes(stub_server)
+        raw.update({
+            "pipeline": "dense+rerank", "filter_mode": "source",
+            "retries": 0, "max_in_flight": 2,
+            "generators": [{"name": "gen-a", "kind": "remote", "model": "gen-a",
+                            "endpoint": stub_server.url("/v1/chat")}],
+            "embedding_endpoint": stub_server.url("/v1/embeddings"),
+            "rerank_endpoint": stub_server.url("/v1/score"),
+            "detector_endpoint": stub_server.url("/v1/detect"),
+        })
+        spans = ("remote.post", "retrieval.embed", "rerank.rerank",
+                 "filters.source", "generation.generate", "postprocess.clean",
+                 "corpus.add_documents", "runner.persist")
+    else:
+        raw.update({"pipeline": "bm25", "filter_mode": "diversity",
+                    "offline": True,
+                    "generators": [{"name": "gen-a", "kind": "synthetic"}]})
+        spans = ("metrics.acc_at_k", "metrics.first_right_ranks",
+                 "metrics.context_right_num", "metrics.self_bleu",
+                 "filters.diversity", "retrieval.search", "retrieval.index_add")
     config_path, result_path = tmp_path / "config.json", tmp_path / "result.json"
     config_path.write_text(json.dumps(raw))
     root = Path(__file__).resolve().parent.parent
@@ -727,9 +757,7 @@ def test_tracer_sees_every_module_of_a_remote_run(tmp_path, stub_server):
     counts: dict[str, int] = {}
     for metric, _phase, value in json.loads(result_path.read_text())["trace"]["counts"]:
         counts[metric] = counts.get(metric, 0) + value
-    for span in ("remote.post", "retrieval.embed", "rerank.rerank",
-                 "filters.source", "generation.generate", "postprocess.clean",
-                 "corpus.add_documents", "runner.persist"):
+    for span in spans:
         assert counts.get(f"{span}.calls", 0) > 0, span
 
 
