@@ -11,7 +11,8 @@ from pathlib import Path
 
 from .config import ensure_valid, load_config
 from .errors import ConfigValidationError, RagLoopError
-from .runner import ExperimentRunner, emit_plot_series, run_experiment
+from .runner import (ExperimentRunner, emit_plot_series, refuse_other_config,
+                     run_experiment)
 from .synthdata import write_demo_dataset
 
 
@@ -103,6 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, overrides=_overrides(args))
         if args.command == "baseline":
             runner = ExperimentRunner(config)
+            refuse_other_config(runner)
             artifacts = runner.run_baseline()
             print(json.dumps(asdict(artifacts.metrics), indent=2,
                              sort_keys=True))

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import yaml
 
+from .corpus import record_id
 from .errors import ConfigValidationError, CorpusFormatError
 from .filters import MarkerStubDetector, RemoteDetectorClient
 from .generation import (CONTEXT_SIZE, DEFAULT_STYLE_MARKER,
@@ -53,16 +54,17 @@ def load_query_set(path: str | Path) -> list[QueryRecord]:
                 raise CorpusFormatError(f"invalid JSON record: {exc.msg}",
                                         path=str(path), line_no=line_no) from exc
             try:
-                qid, question, answers = (str(rec["query_id"]), rec["question"],
+                qid, question, answers = (record_id(rec["query_id"]), rec["question"],
                                           rec["answers"])
             except (KeyError, TypeError) as exc:
                 raise CorpusFormatError(
                     "query record needs query_id, question, answers",
                     path=str(path), line_no=line_no) from exc
-            if not isinstance(question, str) or not isinstance(answers, list):
-                raise CorpusFormatError("question must be a string and answers "
-                                        "a list", path=str(path), line_no=line_no)
-            answers = [str(a) for a in answers]
+            answers = [record_id(a) for a in answers] if isinstance(answers, list) else None
+            if qid is None or not isinstance(question, str) or answers is None or None in answers:
+                raise CorpusFormatError("question must be a string and answers a list; query_id "
+                                        "and each answer a string or an integer",
+                                        path=str(path), line_no=line_no)
             if not answers:
                 raise CorpusFormatError(f"query {qid!r} has no answers",
                                         path=str(path), line_no=line_no)

@@ -1,8 +1,8 @@
-"""Versioned document store with provenance tracking.
+"""The run's corpus: one append-only document store with provenance.
 
-The corpus grows once per simulation iteration. Snapshots are immutable
-views over a shared append-only document list, so taking a new snapshot
-after adding N documents costs O(N), not a full copy.
+The corpus grows once per simulation iteration, when that iteration's
+generated documents are appended in place. A document never changes or
+leaves once committed.
 """
 
 from __future__ import annotations
@@ -109,71 +109,51 @@ def generated_doc_id(generator_name: str, iteration: int, query_id: str) -> str:
     return f"{generator_name}-it{iteration}-{query_id}"
 
 
-class _DocStore:
-    """Shared append-only storage behind a chain of snapshots.
-
-    Documents never change after commit, so their tokens are derived once
-    per store: `tokens` maps a document's position to `tokenize(text)` as a
-    tuple, filled on first read. Each token is interned through `vocab`, so
-    equal tokens across documents are one str object. Nothing else derived
-    from the text is kept: n-gram Counters are built per Self-BLEU or filter
-    call and dropped afterwards, because keeping them for every document
-    that reaches a top-5 list costs more memory than the tokens themselves.
-    """
-
-    __slots__ = ("docs", "index_of", "head_version", "tokens", "vocab")
-
-    def __init__(self) -> None:
-        self.docs: list[Document] = []
-        self.index_of: dict[str, int] = {}
-        self.head_version = 0
-        self.tokens: dict[int, tuple[str, ...]] = {}
-        self.vocab: dict[str, str] = {}
-
-
 class CorpusSnapshot:
-    """Immutable view of the corpus at one version.
+    """Append-only store of the run's documents, in commit order.
 
-    Snapshots created by add_documents share document storage with their
-    parent; only the newly added suffix is new memory.
+    Documents never change after commit, so their tokens are derived once:
+    `_tokens` maps a document's id to `tokenize(text)` as a tuple,
+    filled on first read. Each token is interned through `_vocab`, so equal
+    tokens across documents are one str object. Nothing else derived from
+    the text is kept: n-gram Counters are built per Self-BLEU or filter call
+    and dropped afterwards, because keeping them for every document that
+    reaches a top-5 list costs more memory than the tokens themselves.
     """
 
-    def __init__(self, store: _DocStore, size: int, version: int,
-                 counts: dict[str, int]):
-        self._store = store
-        self._size = size
-        self.version = version
-        self._counts = counts
+    __slots__ = ("_docs", "_index_of", "_tokens", "_vocab")
+
+    def __init__(self, docs: Iterable[Document]):
+        self._docs: list[Document] = []
+        self._index_of: dict[str, int] = {}
+        self._tokens: dict[str, tuple[str, ...]] = {}
+        self._vocab: dict[str, str] = {}
+        for doc in docs:
+            if doc.doc_id in self._index_of:
+                raise DuplicateDocumentError(doc.doc_id)
+            self._index_of[doc.doc_id] = len(self._docs)
+            self._docs.append(doc)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._docs)
 
     def __contains__(self, doc_id: str) -> bool:
-        idx = self._store.index_of.get(doc_id)
-        return idx is not None and idx < self._size
-
-    def _position(self, doc_id: str) -> int:
-        idx = self._store.index_of.get(doc_id)
-        if idx is None or idx >= self._size:
-            raise KeyError(f"doc_id {doc_id!r} not in corpus version {self.version}")
-        return idx
+        return doc_id in self._index_of
 
     def get(self, doc_id: str) -> Document:
-        return self._store.docs[self._position(doc_id)]
+        return self._docs[self._index_of[doc_id]]
 
     def tokens(self, doc_id: str) -> tuple[str, ...]:
         """`tokenize` of the document's text, computed once per store.
-        Raises KeyError for a document this version cannot see, as `get`.
-        Safe with concurrent readers: threads that race on a document store
-        equal tuples, and `setdefault` interns each token exactly once."""
-        idx = self._position(doc_id)
-        store = self._store
-        toks = store.tokens.get(idx)
+        Raises KeyError for an unknown id, as `get`. Safe with concurrent
+        readers: threads that race on a document store equal tuples, and
+        `setdefault` interns each token exactly once."""
+        toks = self._tokens.get(doc_id)
         if toks is None:
-            intern = store.vocab.setdefault
+            intern = self._vocab.setdefault
             toks = tuple([intern(t, t)
-                          for t in retrieval.tokenize(store.docs[idx].text)])
-            store.tokens[idx] = toks
+                          for t in retrieval.tokenize(self.get(doc_id).text)])
+            self._tokens[doc_id] = toks
         return toks
 
     def get_text(self, doc_id: str) -> str:
@@ -183,37 +163,26 @@ class CorpusSnapshot:
         return self.get(doc_id).source
 
     def iter_documents(self) -> Iterator[Document]:
-        for i in range(self._size):
-            yield self._store.docs[i]
-
-    def counts_by_source(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def is_head(self) -> bool:
-        return self.version == self._store.head_version
+        return iter(self._docs)
 
 
-def _snapshot_from_documents(docs: Iterable[Document]) -> CorpusSnapshot:
-    store = _DocStore()
-    counts: dict[str, int] = {}
-    for doc in docs:
-        if doc.doc_id in store.index_of:
-            raise DuplicateDocumentError(doc.doc_id)
-        store.index_of[doc.doc_id] = len(store.docs)
-        store.docs.append(doc)
-        counts[doc.source.label] = counts.get(doc.source.label, 0) + 1
-    return CorpusSnapshot(store, size=len(store.docs), version=0, counts=counts)
+def record_id(value) -> str | None:
+    """An id or answer read from a JSON record as text: a string as it is,
+    an integer in decimal; None for any other type, bools included."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        return None
+    return str(value)
 
 
 def ingest_seed_corpus(path: str | Path) -> CorpusSnapshot:
-    """Load the version-0 corpus from a line-delimited record file.
+    """Load the seed corpus from a line-delimited record file.
 
     Each line is a JSON object with doc_id, text, and an optional title;
     the title is prepended to the text. All seed documents are human.
     """
     path = Path(path)
     docs: list[Document] = []
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -226,14 +195,15 @@ def ingest_seed_corpus(path: str | Path) -> CorpusSnapshot:
             if not isinstance(rec, dict) or "doc_id" not in rec or "text" not in rec:
                 raise CorpusFormatError("record must carry doc_id and text",
                                         path=str(path), line_no=line_no)
-            doc_id = str(rec["doc_id"])
+            doc_id, text, title = record_id(rec["doc_id"]), rec["text"], rec.get("title")
+            if doc_id is None or not isinstance(text, str) or \
+                    not isinstance(title, (str, type(None))):
+                raise CorpusFormatError("text must be a string, and title a string or "
+                                        "absent; doc_id a string or an integer",
+                                        path=str(path), line_no=line_no)
             if doc_id in seen:
                 raise DuplicateDocumentError(doc_id, line_no=line_no)
-            seen[doc_id] = line_no
-            text, title = rec["text"], rec.get("title")
-            if not isinstance(text, str) or not isinstance(title, (str, type(None))):
-                raise CorpusFormatError("text must be a string, and title a string "
-                                        "or absent", path=str(path), line_no=line_no)
+            seen.add(doc_id)
             if title:
                 text = f"{title}{TITLE_TEXT_SEPARATOR}{text}"
             try:
@@ -243,38 +213,22 @@ def ingest_seed_corpus(path: str | Path) -> CorpusSnapshot:
                                         line_no=line_no) from exc
     if not docs:
         raise CorpusFormatError("empty seed corpus", path=str(path))
-    return _snapshot_from_documents(docs)
+    return CorpusSnapshot(docs)
 
 
-def add_documents(snapshot: CorpusSnapshot, docs: list[Document]) -> CorpusSnapshot:
-    """Commit new documents, returning the next snapshot version.
-
-    The input snapshot is unchanged. Adding an empty list is a no-op and
-    returns the same snapshot. Only the newest snapshot of a corpus may be
-    extended (single writer at the iteration barrier).
-    """
-    if not docs:
-        return snapshot
-    if not snapshot.is_head():
-        raise ValueError(
-            f"cannot add documents to superseded snapshot version {snapshot.version}"
-        )
-    store = snapshot._store
+def add_documents(corpus: CorpusSnapshot, docs: list[Document]) -> CorpusSnapshot:
+    """Append `docs` to the corpus in place and return it. An id already
+    present, an id repeated within `docs` or mixed iteration_added is
+    rejected before the first append, so a rejected batch changes nothing."""
+    fresh: set[str] = set()
     for doc in docs:
-        if doc.doc_id in snapshot:
+        if doc.doc_id in corpus or doc.doc_id in fresh:
             raise DuplicateDocumentError(doc.doc_id)
-    fresh_ids = {d.doc_id for d in docs}
-    if len(fresh_ids) != len(docs):
-        dupes = [d.doc_id for d in docs if sum(x.doc_id == d.doc_id for x in docs) > 1]
-        raise DuplicateDocumentError(dupes[0])
+        fresh.add(doc.doc_id)
     iterations = {d.iteration_added for d in docs}
-    if len(iterations) != 1:
+    if len(iterations) > 1:
         raise ValueError(f"documents in one commit must share iteration_added, got {sorted(iterations)}")
-    counts = snapshot.counts_by_source()
     for doc in docs:
-        store.index_of[doc.doc_id] = len(store.docs)
-        store.docs.append(doc)
-        counts[doc.source.label] = counts.get(doc.source.label, 0) + 1
-    store.head_version += 1
-    return CorpusSnapshot(store, size=len(store.docs),
-                          version=store.head_version, counts=counts)
+        corpus._index_of[doc.doc_id] = len(corpus._docs)
+        corpus._docs.append(doc)
+    return corpus

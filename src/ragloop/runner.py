@@ -124,7 +124,7 @@ class IterationArtifacts:
 
 
 class ExperimentRunner:
-    """Holds the evolving corpus, indexes, backends, and caches for one run."""
+    """Holds the evolving corpus, its index, backends, and caches for one run."""
 
     def __init__(self, config: ExperimentConfig):
         ensure_valid(config)
@@ -134,14 +134,9 @@ class ExperimentRunner:
         all_queries = load_query_set(config.query_set)
         self.queries = sample_queries(all_queries, config.sample_size, config.seed)
         self.corpus = ingest_seed_corpus(config.seed_corpus)
-        self.index = InvertedIndex()
-        self.index.add(list(self.corpus.iter_documents()))
         self.embedder = config.build_embedder() if config.uses_dense else None
-        self.vindex: VectorIndex | None = None
-        if config.uses_dense:
-            self.vindex = VectorIndex()
-            self.vindex.add_documents(list(self.corpus.iter_documents()),
-                                      self.embedder)
+        self.index = VectorIndex() if config.uses_dense else InvertedIndex()
+        self._index_docs(list(self.corpus.iter_documents()))
         self.rerank_backend = config.build_rerank_backend() if \
             config.uses_rerank else None
         self.detector = config.build_detector() if \
@@ -164,7 +159,7 @@ class ExperimentRunner:
     def _retrieve(self, query: QueryRecord, iteration: int) -> RankedList:
         depth = self.config.retrieval_depth
         if self.config.uses_dense:
-            ranked = search_dense(self.vindex, query.question, depth,
+            ranked = search_dense(self.index, query.question, depth,
                                   self.embedder, query_id=query.query_id,
                                   iteration=iteration)
         else:
@@ -187,11 +182,15 @@ class ExperimentRunner:
                                     threshold=self.config.diversity_threshold)
         return FilterResult(entries=list(ranked.entries[:CONTEXT_SIZE]))
 
+    def _index_docs(self, docs: list[Document]) -> None:
+        if self.config.uses_dense:
+            self.index.add_documents(docs, self.embedder)
+        else:
+            self.index.add(docs)
+
     def _commit(self, docs: list[Document]) -> None:
-        self.corpus = add_documents(self.corpus, docs)
-        self.index.add(docs)
-        if self.vindex is not None:
-            self.vindex.add_documents(docs, self.embedder)
+        add_documents(self.corpus, docs)
+        self._index_docs(docs)
 
     # ---- generation ------------------------------------------------------
 
@@ -561,15 +560,22 @@ class ExperimentRunner:
         return artifacts
 
 
+def refuse_other_config(runner: ExperimentRunner) -> bool:
+    """Raise if the output directory's manifest names another config;
+    return whether the directory has a manifest."""
+    path = runner.out_dir / MANIFEST_FILE
+    if not path.is_file():
+        return False
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if manifest.get("config_hash") != runner.config_hash:
+        raise RagLoopError(
+            f"output directory {runner.out_dir} belongs to a different "
+            "configuration; refusing to mix runs")
+    return True
+
+
 def _check_manifest(runner: ExperimentRunner, resume: bool) -> None:
-    manifest_path = runner.out_dir / MANIFEST_FILE
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("config_hash") != runner.config_hash:
-            raise RagLoopError(
-                f"output directory {runner.out_dir} belongs to a different "
-                "configuration; refusing to mix runs")
-    elif resume:
+    if not refuse_other_config(runner) and resume:
         logger.info("no manifest in %s; starting fresh", runner.out_dir)
     _write_manifest(runner, "running")
 

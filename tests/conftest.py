@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from ragloop.corpus import CorpusSnapshot, Document, HUMAN_SOURCE, SourceTag
-from ragloop.corpus import _snapshot_from_documents
 
 
 def human_doc(doc_id: str, text: str) -> Document:
@@ -25,7 +24,7 @@ def generated_doc(doc_id: str, text: str, generator: str, query_id: str,
 
 
 def snapshot_of(docs: list[Document]) -> CorpusSnapshot:
-    return _snapshot_from_documents(docs)
+    return CorpusSnapshot(docs)
 
 
 def write_jsonl_file(path: Path, records: list[dict]) -> Path:

@@ -67,6 +67,19 @@ def test_cli_baseline(tmp_path, capsys):
     assert out["iteration"] == 0
 
 
+def test_cli_baseline_refuses_a_directory_of_another_config(tmp_path, capsys):
+    cfg_a = _write_config(tmp_path).rename(tmp_path / "a.yaml")
+    cfg_b = _write_config(tmp_path, seed=5).rename(tmp_path / "b.yaml")
+    assert main(["run", "--config", str(cfg_a)]) == 0
+    baseline = tmp_path / "out" / "iterations" / "iter-00"
+    before = {p.name: p.read_bytes() for p in baseline.iterdir()}
+    capsys.readouterr()
+    assert main(["baseline", "--config", str(cfg_b)]) == 1
+    assert "belongs to a different configuration" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in baseline.iterdir()} == before
+    assert main(["resume", "--config", str(cfg_a)]) == 0
+
+
 def test_cli_run_and_report(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0

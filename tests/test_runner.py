@@ -19,7 +19,7 @@ from ragloop.errors import (ConfigValidationError, CorpusFormatError,
                             RagLoopError, RemoteServiceError)
 from ragloop.generation import SyntheticGenerator
 from ragloop.metrics import em
-from ragloop.retrieval import tokenize
+from ragloop.retrieval import InvertedIndex, VectorIndex, tokenize
 from ragloop.runner import (ExperimentRunner, emit_plot_series, read_jsonl,
                             run_experiment, sample_queries)
 from ragloop.synthdata import write_demo_dataset
@@ -204,7 +204,13 @@ def test_query_set_loader_errors(tmp_path):
     {"query_id": "q2", "question": "x", "answers": "Paris"},
     {"query_id": "q2", "question": None, "answers": ["Paris"]},
     {"query_id": "q2", "question": ["x"], "answers": ["Paris"]},
-], ids=["answers-string", "question-null", "question-list"])
+    {"query_id": None, "question": "x", "answers": ["Paris"]},
+    {"query_id": True, "question": "x", "answers": ["Paris"]},
+    {"query_id": "q2", "question": "x", "answers": [None, 5]},
+    {"query_id": "q2", "question": "x", "answers": ["Paris", 1.5]},
+    {"query_id": "q2", "question": "x", "answers": [False]},
+], ids=["answers-string", "question-null", "question-list", "query-id-null",
+        "query-id-bool", "answer-null", "answer-float", "answer-bool"])
 def test_query_set_rejects_wrongly_typed_fields(tmp_path, record):
     # a string of answers used to become one answer per character
     path = tmp_path / "queries.jsonl"
@@ -213,6 +219,14 @@ def test_query_set_rejects_wrongly_typed_fields(tmp_path, record):
     with pytest.raises(CorpusFormatError, match=r"queries\.jsonl:2: question must "
                                                  r"be a string and answers a list"):
         load_query_set(path)
+
+
+def test_query_set_integer_id_and_answers_load_as_decimal_strings(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(json.dumps({"query_id": 3, "question": "x",
+                                "answers": [1969, "July"]}) + "\n")
+    [record] = load_query_set(path)
+    assert (record.query_id, record.answers) == ("3", ["1969", "July"])
 
 
 def test_sample_queries_deterministic_and_order_insensitive(tmp_path):
@@ -237,7 +251,7 @@ def test_baseline_smoke(tmp_path):
     assert m.dominance_p == 0.0  # the seed corpus is all human
     assert m.transitions_01 is None
     # no index mutation at baseline
-    assert runner.corpus.version == 0
+    assert len(runner.corpus) == 120  # the seed documents only
     assert len(artifacts.records) == 12 * 2
 
 
@@ -940,6 +954,28 @@ def test_rerank_pipeline_runs_offline(tmp_path):
                      sample_size=6, rerank_depth=20)
     report = run_experiment(config)
     assert report["iterations_run"] == 1
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+def test_dense_run_never_feeds_a_bm25_index(tmp_path, monkeypatch):
+    monkeypatch.setattr(InvertedIndex, "add", _refuse("InvertedIndex.add"))
+    config = _config(tmp_path, pipeline="dense+rerank", iterations=2,
+                     sample_size=6, rerank_depth=20)
+    assert run_experiment(config)["iterations_run"] == 2
+
+
+def test_bm25_run_never_embeds(tmp_path, monkeypatch):
+    monkeypatch.setattr(ExperimentConfig, "build_embedder",
+                        _refuse("build_embedder"))
+    monkeypatch.setattr(VectorIndex, "add_documents",
+                        _refuse("VectorIndex.add_documents"))
+    config = _config(tmp_path, iterations=2, sample_size=6)
+    assert run_experiment(config)["iterations_run"] == 2
 
 
 # ---- series emission -----------------------------------------------------------
