@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .config import ensure_valid, load_config
 from .errors import ConfigValidationError, RagLoopError
-from .runner import (ExperimentRunner, emit_plot_series, refuse_other_config,
+from .runner import (ExperimentRunner, emit_plot_series, manifest_status,
                      run_experiment)
 from .synthdata import write_demo_dataset
 
@@ -104,8 +104,8 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, overrides=_overrides(args))
         if args.command == "baseline":
             runner = ExperimentRunner(config)
-            refuse_other_config(runner)
-            artifacts = runner.run_baseline()
+            with manifest_status(runner, False, "baseline"):
+                artifacts = runner.run_baseline()
             print(json.dumps(asdict(artifacts.metrics), indent=2,
                              sort_keys=True))
             return 0

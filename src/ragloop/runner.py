@@ -16,6 +16,7 @@ import os
 import random
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -74,13 +75,31 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
     _atomic_write(path, "".join(line + "\n" for line in lines))
 
 
-def read_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+def _parsed(where, load):
+    """`load()`; a file it cannot read or parse is an error naming `where`."""
+    try:
+        return load()
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+        raise RagLoopError(f"corrupted run file {where}: {exc}") from exc
+
+
+def read_json(path: Path, parse=lambda obj: obj):
+    """`parse` of the JSON document in `path`."""
+    return _parsed(path, lambda: parse(json.loads(
+        path.read_text(encoding="utf-8"))))
+
+
+def read_jsonl(path: Path, parse=lambda row: row) -> list:
+    """`parse` of each JSON line of `path`; errors name `path:line`."""
+    text = _parsed(path, lambda: path.read_text(encoding="utf-8"))
+    return [_parsed(f"{path}:{n}", lambda: parse(json.loads(line)))
+            for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+
+
+def read_metrics(path: Path) -> tuple[str | None, M.IterationMetrics]:
+    """The config hash and the metrics of a phase's metrics file."""
+    return read_json(path, lambda meta: (
+        meta.get("config_hash"), M.IterationMetrics(**meta["metrics"])))
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -196,9 +215,10 @@ class ExperimentRunner:
 
     def _tasks(self, kind: str, iteration: int, specs,
                contexts: dict[str, FilterResult] | None = None) -> list[tuple]:
-        """One (query, generator name, request) per query and generator,
-        sorted by (query_id, name); prompts fill their context slots from
-        each query's kept contexts, and zero-shot prompts have none."""
+        """One (query, generator name, request) per query and generator, in
+        (query_id, name) order, as `self.queries` is sorted by id; prompts
+        fill their context slots from each query's kept contexts, and
+        zero-shot prompts have none."""
         tasks = []
         for query in self.queries:
             texts = [] if contexts is None else [
@@ -206,13 +226,12 @@ class ExperimentRunner:
                 for e in contexts[query.query_id].entries]
             padded = (texts + [""] * CONTEXT_SIZE)[:CONTEXT_SIZE]
             prompt = build_prompt(kind, query.question, contexts=padded)
-            for spec in specs:
+            for spec in sorted(specs, key=lambda s: s.name):
                 request = GenerationRequest(
                     prompt=prompt, kind=kind, query_id=query.query_id,
                     iteration=iteration, query=query.question,
                     gold_answers=list(query.answers), contexts=texts)
                 tasks.append((query, spec.name, request))
-        tasks.sort(key=lambda t: (t[0].query_id, t[1]))
         return tasks
 
     def _map(self, fn, items: list) -> list:
@@ -225,52 +244,60 @@ class ExperimentRunner:
                 return list(pool.map(fn, items))
         return [fn(item) for item in items]
 
-    def _run_tasks(self, tasks: list[tuple]):
-        """Generate for every task; failures become None entries."""
+    def _answer(self, task: tuple) -> tuple[str, str] | None:
+        """The raw and cleaned answer of one task; None when generation fails."""
+        query, gen_name, request = task
+        try:
+            raw = generate(self.generators[gen_name], request)
+        except GenerationFailure as exc:
+            logger.warning("generation failed for query %s / %s: %s",
+                           query.query_id, gen_name, exc)
+            return None
+        return raw, postprocess.clean(raw, self.phrases)
 
-        def one(task):
-            query, gen_name, request = task
-            try:
-                return generate(self.generators[gen_name], request)
-            except GenerationFailure as exc:
-                logger.warning("generation failed for query %s / %s: %s",
-                               query.query_id, gen_name, exc)
-                return None
-
-        return self._map(one, tasks)
+    def _record(self, task: tuple) -> GenerationRecord | None:
+        """Generate, clean and grade one task; None when generation fails."""
+        answer = self._answer(task)
+        if answer is None:
+            return None
+        query, gen_name, request = task
+        raw, cleaned = answer
+        em_value, em_llm_value = self._grade(query, query.answers, cleaned)
+        spec = self.misinfo_specs.get(query.query_id)
+        em_false, em_llm_false = (None, None) if spec is None else \
+            self._grade(query, [spec.chosen_false_answer], cleaned)
+        return GenerationRecord(
+            query_id=query.query_id, iteration=request.iteration,
+            generator_name=gen_name, raw_text=raw, cleaned_text=cleaned,
+            em=em_value, em_llm=em_llm_value, em_false=em_false,
+            em_llm_false=em_llm_false)
 
     def _grade(self, query: QueryRecord, answers: list[str],
                cleaned: str) -> tuple[int, int | None]:
         """Containment of any of `answers`, and with a judge its verdict on
         the first contained answer; None when the judge cannot be reached."""
         hit = M.em(answers, cleaned)
-        em_llm_value: int | None = None
-        if self.judge is not None:
-            if hit == 0:
-                em_llm_value = 0
-            else:
-                matched = next(a for a in answers if M.em([a], cleaned) == 1)
-                try:
-                    verdict, _ = judge_support(self.judge, query.question,
-                                               cleaned, matched)
-                except GenerationFailure as exc:
-                    logger.warning("judge failed for query %s; em_llm not "
-                                   "recorded: %s", query.query_id, exc)
-                else:
-                    em_llm_value = M.em_llm(hit, verdict)
-        return hit, em_llm_value
+        if self.judge is None or hit == 0:
+            return hit, (None if self.judge is None else 0)
+        matched = next(a for a in answers if M.em([a], cleaned) == 1)
+        try:
+            verdict, _ = judge_support(self.judge, query.question, cleaned,
+                                       matched)
+        except GenerationFailure as exc:
+            logger.warning("judge failed for query %s; em_llm not recorded: "
+                           "%s", query.query_id, exc)
+            return hit, None
+        return hit, M.em_llm(hit, verdict)
 
     # ---- metric assembly -------------------------------------------------
 
     def _build_metrics(self, iteration: int, ranked: dict[str, RankedList],
                        records: list[GenerationRecord],
                        em_prev: dict | None,
-                       crn_by_query: dict[str, int],
-                       fr_by_query: dict[str, tuple[int | None, int | None]],
-                       ) -> M.IterationMetrics:
+                       scans: dict[str, dict]) -> M.IterationMetrics:
         ranked_lists = [ranked[q.query_id] for q in self.queries]
-        firsts = [fr_by_query[q.query_id] for q in self.queries]
-        first_any = [a for a, _ in firsts]
+        query_scans = [scans[q.query_id] for q in self.queries]
+        first_any = [s["first_right_any"] for s in query_scans]
         acc5 = M.acc_at_k(first_any, 5)
         acc20 = M.acc_at_k(first_any, 20)
         dom = M.dominance_p(ranked_lists, self.corpus, k=5)
@@ -317,11 +344,12 @@ class ExperimentRunner:
 
         hist = {"em0": [0] * 6, "em1": [0] * 6}
         for rec in records:
-            crn = crn_by_query[rec.query_id]
+            crn = scans[rec.query_id]["context_right_num"]
             hist["em1" if rec.em == 1 else "em0"][crn] += 1
 
         any_ranks = [a for a in first_any if a is not None]
-        human_ranks = [h for _, h in firsts if h is not None]
+        human_ranks = [s["first_right_human"] for s in query_scans
+                       if s["first_right_human"] is not None]
         first_right = {
             "mean_any": (sum(any_ranks) / len(any_ranks)) if any_ranks else None,
             "count_any": len(any_ranks),
@@ -352,68 +380,40 @@ class ExperimentRunner:
             rl = self._retrieve(query, iteration)
             return rl, self._select_contexts(rl)
 
-        ranked: dict[str, RankedList] = {}
-        contexts: dict[str, FilterResult] = {}
+        ranked, contexts, scans = {}, {}, {}
         for query, (rl, kept) in zip(self.queries,
                                      self._map(select, self.queries)):
-            ranked[query.query_id] = rl
-            contexts[query.query_id] = kept
+            qid, answers = query.query_id, query.answers
+            ranked[qid], contexts[qid] = rl, kept
+            # the containment scans wait on no remote call: they stay off
+            # the pool, where they would only contend for the GIL
+            first_any, first_human = M.first_right_ranks(rl, answers,
+                                                         self.corpus)
+            scans[qid] = {
+                "context_right_num": M.context_right_num(rl, answers,
+                                                         self.corpus),
+                "first_right_any": first_any, "first_right_human": first_human}
 
         specs = (self.config.generators_for_iteration(iteration)
                  if iteration >= 1 else list(self.config.generators))
         tasks = self._tasks(WITH_CONTEXTS, iteration, specs, contexts)
-        outputs = self._run_tasks(tasks)
-
-        crn_by_query = {
-            q.query_id: M.context_right_num(ranked[q.query_id], q.answers,
-                                            self.corpus)
-            for q in self.queries
-        }
-        fr_by_query = {
-            q.query_id: M.first_right_ranks(ranked[q.query_id], q.answers,
-                                            self.corpus)
-            for q in self.queries
-        }
-
-        records: list[GenerationRecord] = []
-        new_docs: list[Document] = []
-        failures = 0
-        for (query, gen_name, _request), raw in zip(tasks, outputs):
-            if raw is None:
-                failures += 1
-                continue
-            cleaned = postprocess.clean(raw, self.phrases)
-            em_value, em_llm_value = self._grade(query, query.answers, cleaned)
-            em_false = em_llm_false = None
-            spec = self.misinfo_specs.get(query.query_id)
-            if spec is not None:
-                em_false, em_llm_false = self._grade(
-                    query, [spec.chosen_false_answer], cleaned)
-            records.append(GenerationRecord(
-                query_id=query.query_id, iteration=iteration,
-                generator_name=gen_name, raw_text=raw, cleaned_text=cleaned,
-                em=em_value, em_llm=em_llm_value, em_false=em_false,
-                em_llm_false=em_llm_false))
-            if iteration >= 1:
-                new_docs.append(_generated_doc(gen_name, iteration + 1,
-                                               query.query_id, cleaned))
+        records = [r for r in self._map(self._record, tasks) if r is not None]
+        failures = len(tasks) - len(records)
         if tasks and failures / len(tasks) > self.config.max_failure_fraction:
             raise RagLoopError(
                 f"iteration {iteration} aborted: {failures}/{len(tasks)} "
                 f"generation tasks failed")
 
-        eval_records = []
-        for rec in records:
-            first_any, first_human = fr_by_query[rec.query_id]
-            eval_records.append(M.EvalRecord(
-                query_id=rec.query_id, iteration=iteration,
-                generator_name=rec.generator_name, em=rec.em,
-                em_llm=rec.em_llm,
-                context_right_num=crn_by_query[rec.query_id],
-                first_right_any=first_any, first_right_human=first_human))
+        new_docs = [_generated_doc(r.generator_name, iteration + 1, r.query_id,
+                                   r.cleaned_text)
+                    for r in records] if iteration >= 1 else []
+        eval_records = [M.EvalRecord(
+            query_id=r.query_id, iteration=iteration,
+            generator_name=r.generator_name, em=r.em, em_llm=r.em_llm,
+            **scans[r.query_id]) for r in records]
 
         bundle = self._build_metrics(iteration, ranked, records, em_prev,
-                                     crn_by_query, fr_by_query)
+                                     scans)
         artifacts = IterationArtifacts(
             iteration=iteration, ranked=ranked, contexts=contexts,
             records=records, metrics=bundle)
@@ -446,8 +446,8 @@ class ExperimentRunner:
     def _phase_complete(self, iteration: int) -> bool:
         return (self._iter_dir(iteration) / METRICS_FILE).is_file()
 
-    def _check_phase_hash(self, meta: dict, phase: str) -> None:
-        if meta.get("config_hash") != self.config_hash:
+    def _check_phase_hash(self, config_hash: str | None, phase: str) -> None:
+        if config_hash != self.config_hash:
             raise RagLoopError(
                 f"phase {phase} in {self.out_dir} was written by a different "
                 "configuration; refusing to resume from it")
@@ -455,14 +455,11 @@ class ExperimentRunner:
     def _load_phase(self, iteration: int) -> tuple[M.IterationMetrics,
                                                    dict, list[Document]]:
         phase_dir = self._iter_dir(iteration)
-        meta = json.loads((phase_dir / METRICS_FILE).read_text(encoding="utf-8"))
-        self._check_phase_hash(meta, phase_dir.name)
-        bundle = M.IterationMetrics(**meta["metrics"])
-        em_map = {}
-        for row in read_jsonl(phase_dir / RECORDS_FILE):
-            em_map[(row["query_id"], row["generator_name"])] = int(row["em"])
-        docs = [Document.from_dict(d)
-                for d in read_jsonl(phase_dir / ADDITIONS_FILE)]
+        config_hash, bundle = read_metrics(phase_dir / METRICS_FILE)
+        self._check_phase_hash(config_hash, phase_dir.name)
+        em_map = dict(read_jsonl(phase_dir / RECORDS_FILE, lambda row: (
+            (row["query_id"], row["generator_name"]), int(row["em"]))))
+        docs = read_jsonl(phase_dir / ADDITIONS_FILE, Document.from_dict)
         return bundle, em_map, docs
 
     # ---- injection -------------------------------------------------------
@@ -471,17 +468,14 @@ class ExperimentRunner:
         return (self._injection_dir() / INJECTION_META_FILE).is_file()
 
     def _load_injection(self) -> list[Document]:
-        meta = json.loads((self._injection_dir() / INJECTION_META_FILE)
-                          .read_text(encoding="utf-8"))
-        self._check_phase_hash(meta, "injection")
-        docs = [Document.from_dict(d) for d in
-                read_jsonl(self._injection_dir() / ADDITIONS_FILE)]
-        mis_path = self._injection_dir() / MISINFO_FILE
-        if mis_path.is_file():
-            self.misinfo_specs = {
-                s["query_id"]: MisinfoSpec(**s)
-                for s in read_jsonl(mis_path)}
-        return docs
+        inj_dir = self._injection_dir()
+        self._check_phase_hash(read_json(inj_dir / INJECTION_META_FILE,
+                                         lambda meta: meta.get("config_hash")),
+                               "injection")
+        if (inj_dir / MISINFO_FILE).is_file():
+            self.misinfo_specs = {spec.query_id: spec for spec in read_jsonl(
+                inj_dir / MISINFO_FILE, lambda row: MisinfoSpec(**row))}
+        return read_jsonl(inj_dir / ADDITIONS_FILE, Document.from_dict)
 
     def inject_zero_shot(self) -> list[Document]:
         """Generate and commit the iteration-1 additions: one document per
@@ -507,16 +501,16 @@ class ExperimentRunner:
 
     def _build_zero_shot_docs(self, specs) -> list[Document]:
         tasks = self._tasks(ZERO_SHOT, 1, specs)
-        return [_generated_doc(gen_name, 1, query.query_id,
-                               postprocess.clean(raw, self.phrases))
-                for (query, gen_name, _request), raw
-                in zip(tasks, self._run_tasks(tasks)) if raw is not None]
+        return [_generated_doc(gen_name, 1, query.query_id, answer[1])
+                for (query, gen_name, _request), answer
+                in zip(tasks, self._map(self._answer, tasks))
+                if answer is not None]
 
     def _build_misinfo_docs(self, specs) -> list[Document]:
         answer_backend = self.generators[self.config.generators[0].name]
-        self.misinfo_specs = {}
-        docs = []
-        for query in self.queries:
+
+        def set_up(query: QueryRecord) -> tuple[MisinfoSpec | None,
+                                                list[Document]]:
             try:
                 false_answers = generate_false_answers(
                     answer_backend, query.question, query.answers,
@@ -524,13 +518,11 @@ class ExperimentRunner:
             except GenerationFailure as exc:
                 logger.warning("query %s excluded from misinfo mode: %s",
                                query.query_id, exc)
-                continue
+                return None, []
             rng = random.Random(derive_seed(self.config.seed, "misinfo-choice",
                                             query.query_id))
             chosen = rng.choice(false_answers)
-            self.misinfo_specs[query.query_id] = MisinfoSpec(
-                query_id=query.query_id, false_answers=false_answers,
-                chosen_false_answer=chosen)
+            docs = []
             for gen_spec in specs:
                 try:
                     raw = generate_mis_passage(
@@ -543,7 +535,14 @@ class ExperimentRunner:
                     continue
                 docs.append(_generated_doc(gen_spec.name, 1, query.query_id,
                                            postprocess.clean(raw, self.phrases)))
-        return docs
+            return MisinfoSpec(query_id=query.query_id,
+                               false_answers=false_answers,
+                               chosen_false_answer=chosen), docs
+
+        outcomes = self._map(set_up, self.queries)
+        self.misinfo_specs = {spec.query_id: spec for spec, _ in outcomes
+                              if spec is not None}
+        return [doc for _, docs in outcomes for doc in docs]
 
     # ---- public entry points ----------------------------------------------
 
@@ -560,24 +559,30 @@ class ExperimentRunner:
         return artifacts
 
 
-def refuse_other_config(runner: ExperimentRunner) -> bool:
-    """Raise if the output directory's manifest names another config;
-    return whether the directory has a manifest."""
-    path = runner.out_dir / MANIFEST_FILE
-    if not path.is_file():
-        return False
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    if manifest.get("config_hash") != runner.config_hash:
-        raise RagLoopError(
-            f"output directory {runner.out_dir} belongs to a different "
-            "configuration; refusing to mix runs")
-    return True
-
-
 def _check_manifest(runner: ExperimentRunner, resume: bool) -> None:
-    if not refuse_other_config(runner) and resume:
+    """Refuse a directory whose manifest names another config; mark it running."""
+    path = runner.out_dir / MANIFEST_FILE
+    if path.is_file():
+        if read_json(path, lambda m: m.get("config_hash")) != runner.config_hash:
+            raise RagLoopError(
+                f"output directory {runner.out_dir} belongs to a different "
+                "configuration; refusing to mix runs")
+    elif resume:
         logger.info("no manifest in %s; starting fresh", runner.out_dir)
     _write_manifest(runner, "running")
+
+
+@contextmanager
+def manifest_status(runner: ExperimentRunner, resume: bool, status: str):
+    """Run the body under the output directory's manifest: `status` when it
+    returns, `failed` with the error when it raises."""
+    _check_manifest(runner, resume)
+    try:
+        yield
+    except Exception as exc:
+        _write_manifest(runner, "failed", error=f"{type(exc).__name__}: {exc}")
+        raise
+    _write_manifest(runner, status)
 
 
 def _write_manifest(runner: ExperimentRunner, status: str,
@@ -602,9 +607,7 @@ def run_experiment(config: ExperimentConfig,
     Completed phases found in the output directory are loaded, not rerun.
     """
     runner = ExperimentRunner(config)
-    _check_manifest(runner, resume)
-
-    try:
+    with manifest_status(runner, resume, "complete"):
         all_metrics: list[M.IterationMetrics] = []
         em_prev: dict | None = None
 
@@ -631,10 +634,6 @@ def run_experiment(config: ExperimentConfig,
                     [{"config_hash": runner.config_hash, **asdict(m)}
                      for m in all_metrics])
         series = emit_plot_series(runner.out_dir)
-    except Exception as exc:
-        _write_manifest(runner, "failed", error=f"{type(exc).__name__}: {exc}")
-        raise
-    _write_manifest(runner, "complete")
     final = all_metrics[-1]
     return {
         "output_dir": str(runner.out_dir),
@@ -683,11 +682,7 @@ def emit_plot_series(run_dir: str | Path) -> list[Path]:
         metrics_path = phase_dir / METRICS_FILE
         if not metrics_path.is_file():
             continue
-        try:
-            meta = json.loads(metrics_path.read_text(encoding="utf-8"))
-            bundle = M.IterationMetrics(**meta["metrics"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise RagLoopError(f"corrupted metrics file {metrics_path}: {exc}")
+        _hash, bundle = read_metrics(metrics_path)
         bundles.append(bundle)
         present.add(bundle.iteration)
     if not bundles:

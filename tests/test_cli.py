@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from ragloop.cli import main
 from ragloop.synthdata import write_demo_dataset
 
@@ -70,14 +72,59 @@ def test_cli_baseline(tmp_path, capsys):
 def test_cli_baseline_refuses_a_directory_of_another_config(tmp_path, capsys):
     cfg_a = _write_config(tmp_path).rename(tmp_path / "a.yaml")
     cfg_b = _write_config(tmp_path, seed=5).rename(tmp_path / "b.yaml")
-    assert main(["run", "--config", str(cfg_a)]) == 0
-    baseline = tmp_path / "out" / "iterations" / "iter-00"
-    before = {p.name: p.read_bytes() for p in baseline.iterdir()}
+    for first in ("run", "baseline"):
+        out = ["--out", str(tmp_path / first)]
+        assert main([first, "--config", str(cfg_a), *out]) == 0
+        baseline = tmp_path / first / "iterations" / "iter-00"
+        before = {p.name: p.read_bytes() for p in baseline.iterdir()}
+        capsys.readouterr()
+        assert main(["baseline", "--config", str(cfg_b), *out]) == 1
+        assert "belongs to a different configuration" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in baseline.iterdir()} == before
+        assert main(["resume", "--config", str(cfg_a), *out]) == 0
+
+
+def test_cli_baseline_records_its_status(tmp_path, stub_server):
+    cfg = _write_config(tmp_path)
+    manifest = tmp_path / "out" / "manifest.json"
+    assert main(["baseline", "--config", str(cfg)]) == 0
+    assert json.loads(manifest.read_text())["status"] == "baseline"
+    assert main(["resume", "--config", str(cfg)]) == 0
+    assert json.loads(manifest.read_text())["status"] == "complete"
+    # every generation task of this baseline gets a 404
+    down = _write_config(tmp_path / "down", offline=False, retries=0,
+                         generators=[{"name": "gen-a", "kind": "remote",
+                                      "model": "m",
+                                      "endpoint": stub_server.url("/v1/chat")}])
+    assert main(["baseline", "--config", str(down)]) == 1
+    failed = json.loads((tmp_path / "down" / "out" / "manifest.json").read_text())
+    assert failed["status"] == "failed"
+    assert "generation tasks failed" in failed["error"]
+
+
+@pytest.mark.parametrize("damaged, damage, where", [
+    ("metrics.json", lambda text: text[:len(text) // 2], "metrics.json:"),
+    ("records.jsonl", lambda text: text.replace("\n", '\n{"query_id": \n', 1),
+     "records.jsonl:2:"),
+    ("additions.jsonl", None, "additions.jsonl:"),
+], ids=["truncated-metrics", "bad-record-line", "missing-additions"])
+def test_cli_resume_names_a_damaged_run_file(tmp_path, capsys, damaged, damage,
+                                             where):
+    cfg = _write_config(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "iterations" / "iter-01" / damaged
+    if damage is None:
+        path.unlink()
+    else:
+        path.write_text(damage(path.read_text()))
     capsys.readouterr()
-    assert main(["baseline", "--config", str(cfg_b)]) == 1
-    assert "belongs to a different configuration" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in baseline.iterdir()} == before
-    assert main(["resume", "--config", str(cfg_a)]) == 0
+    assert main(["resume", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: corrupted run file {path.parent}" in err
+    assert f"iter-01/{where}" in err and "Traceback" not in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("RagLoopError: corrupted run file")
 
 
 def test_cli_run_and_report(tmp_path, capsys):

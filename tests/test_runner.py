@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -584,7 +585,10 @@ def _run_dir_bytes(config: ExperimentConfig) -> dict[str, bytes]:
 def test_concurrency_cap_does_not_change_outputs(tmp_path):
     for name, extra in [("bm25", {}),
                         ("dense-rerank-source", {"pipeline": "dense+rerank",
-                                                 "filter_mode": "source"})]:
+                                                 "filter_mode": "source"}),
+                        ("misinfo-judge-source", {"misinfo": True,
+                                                  "grade_with_judge": True,
+                                                  "filter_mode": "source"})]:
         serial = _config(tmp_path, out=f"{name}-serial", **extra)
         threaded = _config(tmp_path, out=f"{name}-threaded", max_in_flight=4,
                            **extra)
@@ -682,6 +686,61 @@ def test_remote_runs_match_across_concurrency_caps(tmp_path, keepalive_server):
         gens = read_jsonl(Path(threaded.output_dir) / "iterations" / phase
                           / "generations.jsonl")
         assert len(gens) == 2 * 12
+
+
+def test_pool_runs_judge_and_false_answer_calls(tmp_path, stub_server):
+    # every answer holds its query's reference answer, so the judge (gen-a)
+    # is asked about each one; judge and false-answer replies are slow
+    # enough that calls from different pool threads overlap
+    answers = {q.question: q.answers[0]
+               for q in load_query_set(_dataset(tmp_path)[1])}
+    in_flight = {"judge": 0, "false": 0}
+    peaks = dict(in_flight)
+    lock = threading.Lock()
+
+    def chat(payload):
+        prompt = payload["messages"][0]["content"]
+        question = prompt.split("Question:")[-1].split("\n")[0].strip()
+        if prompt.startswith("Suppose you are generating"):
+            false = prompt.split("Answers:")[-1].split(",\n")[0]
+            return {"choices": [{"message": {"content":
+                    f"This {_MARKER} note says the answer is {false}."}}]}
+        kind = ("judge" if prompt.startswith("Does the following response")
+                else "false" if prompt.startswith("Generate a false answer")
+                else None)
+        if kind is None:
+            text = f"This {_MARKER} note says {answers[question]} is right."
+        else:
+            with lock:
+                in_flight[kind] += 1
+                peaks[kind] = max(peaks[kind], in_flight[kind])
+            time.sleep(0.01)
+            with lock:
+                in_flight[kind] -= 1
+            digest = hashlib.sha256(question.encode("utf-8")).hexdigest()
+            text = "Yes." if kind == "judge" else f"nowhere {digest[:8]}"
+        return {"choices": [{"message": {"content": text}}]}
+
+    stub_server.routes["/v1/chat"] = chat
+    configs, peaks_by_cap = [], {}
+    for max_in_flight in (1, 4):
+        peaks.update(judge=0, false=0)
+        config = _config(
+            tmp_path, out=f"cap-{max_in_flight}", offline=False, retries=0,
+            sample_size=8, iterations=1, misinfo=True, grade_with_judge=True,
+            judge_generator="gen-a", max_in_flight=max_in_flight,
+            generators=[{"name": n, "kind": "remote", "model": n,
+                         "endpoint": stub_server.url("/v1/chat")}
+                        for n in ("gen-a", "gen-b")])
+        run_experiment(config)
+        configs.append(config)
+        peaks_by_cap[max_in_flight] = dict(peaks)
+    assert peaks_by_cap[1] == {"judge": 1, "false": 1}
+    assert peaks_by_cap[4]["judge"] >= 2 and peaks_by_cap[4]["false"] >= 2
+    records = read_jsonl(Path(configs[1].output_dir) / "iterations" / "iter-01"
+                         / "generations.jsonl")
+    assert len(records) == 16 and all(r["em_llm"] == 1 for r in records)
+    assert _run_dir_bytes(configs[0]) == _run_dir_bytes(configs[1])
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 4])
