@@ -20,6 +20,7 @@ from .filters import MarkerStubDetector, RemoteDetectorClient
 from .generation import (CONTEXT_SIZE, DEFAULT_STYLE_MARKER,
                          DEFAULT_TEMPERATURE, RemoteChatGenerator,
                          SyntheticGenerator)
+from .metrics import normalize_answer
 from .remote import Endpoint, session
 from .rerank import (FAILURE_ABORT, FAILURE_PASS_THROUGH,
                      LexicalOverlapBackend, RemoteScorerBackend)
@@ -40,7 +41,9 @@ class QueryRecord:
 
 def load_query_set(path: str | Path) -> list[QueryRecord]:
     """Parse the query file: one JSON record per line with query_id,
-    question, and a non-empty answers list."""
+    question, and a non-empty answers list. An answer that normalizes to
+    no tokens (articles and punctuation only) is rejected: `em` is 0 for it
+    on any text, so its query could never be graded correct."""
     path = Path(path)
     records: list[QueryRecord] = []
     seen: set[str] = set()
@@ -68,6 +71,10 @@ def load_query_set(path: str | Path) -> list[QueryRecord]:
             if not answers:
                 raise CorpusFormatError(f"query {qid!r} has no answers",
                                         path=str(path), line_no=line_no)
+            for answer in answers:
+                if not normalize_answer(answer):
+                    raise CorpusFormatError(f"answer {answer!r} normalizes to nothing, so no "
+                                            "text can match it", path=str(path), line_no=line_no)
             if qid in seen:
                 raise CorpusFormatError(f"duplicate query_id {qid!r}",
                                         path=str(path), line_no=line_no)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -115,54 +115,6 @@ def source_share(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
     return {label: 100.0 * n / total for label, n in sorted(counts.items())}
 
 
-class NgramProfile(NamedTuple):
-    """A document's length and its n-gram Counters, `counts[n - 1]` for
-    n = 1..max_n. 1-grams are keyed by the token, longer ones by tuples."""
-
-    length: int
-    counts: tuple[Counter, ...]
-
-
-def ngram_profile(tokens: Sequence[str], max_n: int = 3) -> NgramProfile:
-    return NgramProfile(len(tokens), (Counter(tokens),) + tuple(
-        Counter(zip(*(tokens[i:] for i in range(n))))
-        for n in range(2, max_n + 1)))
-
-
-def _set_maxima(counters: list[Counter]) -> dict:
-    """Each n-gram's largest count over the set, and the largest count left
-    once one document holding that count is set aside (0 if none)."""
-    maxima: dict = {}
-    get = maxima.get
-    for counts in counters:
-        for ngram, cnt in counts.items():
-            top = get(ngram)
-            if top is None:
-                maxima[ngram] = (cnt, 0)
-            elif cnt > top[0]:
-                maxima[ngram] = (cnt, top[0])
-            elif cnt > top[1]:
-                maxima[ngram] = (top[0], cnt)
-    return maxima
-
-
-def _clipped_counts(candidate: NgramProfile, set_maxima: list[dict],
-                    max_n: int) -> Iterator[int]:
-    """The candidate's n-gram counts clipped by the other members of its
-    set, one sum per order n = 1..max_n, each computed when it is read.
-    `set_maxima[n - 1]` is `_set_maxima` of the whole set's n-gram
-    Counters."""
-    for n in range(max_n):
-        maxima = set_maxima[n]
-        clipped = 0
-        for ngram, cnt in candidate.counts[n].items():
-            # below the set's largest count, a reference holds the largest;
-            # at it, the best reference holds the runner-up
-            largest, runner_up = maxima[ngram]
-            clipped += cnt if cnt < largest else runner_up
-        yield clipped
-
-
 def _bleu_from_clipped(clipped: Iterable[int], c: int,
                        ref_lengths: Sequence[int], max_n: int) -> float:
     """Sentence BLEU of a c-token candidate whose clipped n-gram counts
@@ -183,6 +135,99 @@ def _bleu_from_clipped(clipped: Iterable[int], c: int,
     return bp * math.exp(log_sum)
 
 
+class _WindowCounts:
+    """Each 1..max_n-gram's count in every slot of a set of documents.
+
+    The one place clipped n-gram counts are computed: `self_bleu` fills a
+    table with its set, and the diversity filter keeps one as its working
+    window. `counts[slot, g]` is the count of n-gram g in the document in
+    that slot. N-grams are numbered from 1 as first met in the table;
+    number 0 counts nothing. A joining document takes the slot of the one
+    leaving, so a swap rewrites only those two documents' counts.
+
+    `own[slot]` lists the slot document's distinct n-grams, order by
+    order, each order after a column for n-gram 0: their numbers and their
+    counts in the document. `starts[slot]` holds where each order's
+    stretch begins, so every stretch is non-empty and one `reduceat`
+    sums them all.
+    """
+
+    def __init__(self, docs_tokens: Sequence[Sequence[str]], max_n: int = 3):
+        self.size = len(docs_tokens)
+        self.max_n = max_n
+        self.ids: dict = {}
+        self.counts = np.zeros((self.size, 1), dtype=np.int32)
+        self.lengths = [0] * self.size
+        self.own = [np.zeros((2, 0), dtype=np.int64)] * self.size
+        self.starts = [[]] * self.size
+        for slot, tokens in enumerate(docs_tokens):
+            self.place(slot, tokens)
+
+    def place(self, slot: int, tokens: Sequence[str]) -> None:
+        """Put the document of `tokens` in `slot`, in place of the one there."""
+        self.counts[slot, self.own[slot][0]] = 0
+        ids = self.ids
+        numbers: list[int] = []
+        hits: list[int] = []
+        starts: list[int] = []
+        for n in range(1, self.max_n + 1):
+            counter = Counter(tokens if n == 1 else
+                              zip(*(tokens[i:] for i in range(n))))
+            starts.append(len(numbers))
+            numbers.append(0)
+            numbers += [ids.setdefault(g, len(ids) + 1) for g in counter]
+            hits.append(0)
+            hits += counter.values()
+        width = self.counts.shape[1]
+        if len(ids) >= width:
+            grown = np.zeros((self.size, max(len(ids) + 1, 2 * width)),
+                             dtype=np.int32)
+            grown[:, :width] = self.counts
+            self.counts = grown
+        own = np.array([numbers, hits], dtype=np.int64)
+        self.counts[slot, own[0]] = own[1]
+        self.own[slot] = own
+        self.starts[slot] = starts
+        self.lengths[slot] = len(tokens)
+
+    def clipped(self) -> list:
+        """`clipped[i][j][n - 1]`: slot i's n-gram count clipped against
+        the window without slots i and j (j == i: without i alone)."""
+        numbers, hits = np.concatenate(self.own, axis=1)
+        others = np.take(self.counts, numbers, axis=1)
+        starts = []
+        offset = 0
+        for slot in range(self.size):
+            starts += [offset + start for start in self.starts[slot]]
+            width = self.own[slot].shape[1]
+            others[slot, offset:offset + width] = 0
+            offset += width
+        # refs[j] is the largest count over every other slot but j
+        before = others.copy()
+        after = others.copy()
+        for k in range(1, self.size - 1):
+            np.maximum(before[k - 1], before[k], out=before[k])
+            np.maximum(after[-k], after[-k - 1], out=after[-k - 1])
+        refs = np.empty_like(others)
+        refs[0] = after[1]
+        refs[-1] = before[-2]
+        np.maximum(before[:-2], after[2:], out=refs[1:-1])
+        sums = np.add.reduceat(np.minimum(hits, refs), starts, axis=1)
+        return sums.reshape(self.size, self.size, self.max_n).transpose(
+            1, 0, 2).tolist()
+
+    def score(self, members: Sequence[int], clipped: list,
+              left_out: int | None = None) -> float:
+        """Self-BLEU of the documents in slots `members`, in that order,
+        with slot `left_out` (if any) already out of the window."""
+        lengths = self.lengths
+        scores = [_bleu_from_clipped(
+            clipped[i][i if left_out is None else left_out], lengths[i],
+            [lengths[k] for k in members if k != i], self.max_n)
+            for i in members]
+        return sum(scores) / len(scores)
+
+
 def self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> float:
     """Mean BLEU of each document against the rest of the set.
 
@@ -191,24 +236,17 @@ def self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> float:
     identical sets exactly 1.
 
     A document is a text or a token sequence (such as the corpus's cached
-    tokens). Each document's n-gram Counters are built once per call and
-    dropped afterwards: keeping them for every document that reaches a
-    top-5 list would cost several times the memory of the cached tokens
-    they are built from.
+    tokens). The set fills one `_WindowCounts` table, which clips each
+    document's n-gram counts against the largest count among the others;
+    the table is dropped afterwards, since keeping n-gram counts for every
+    document that reaches a top-5 list would cost several times the memory
+    of the cached tokens they are built from.
     """
     if len(docs) < 2:
         raise ValueError("self_bleu needs at least 2 documents")
-    profiles = [ngram_profile(tokenize(d) if isinstance(d, str) else d, max_n)
-                for d in docs]
-    set_maxima = [_set_maxima([p.counts[n] for p in profiles])
-                  for n in range(max_n)]
-    lengths = [p.length for p in profiles]
-    scores = []
-    for i, candidate in enumerate(profiles):
-        scores.append(_bleu_from_clipped(
-            _clipped_counts(candidate, set_maxima, max_n), candidate.length,
-            lengths[:i] + lengths[i + 1:], max_n))
-    return sum(scores) / len(scores)
+    table = _WindowCounts([tokenize(d) if isinstance(d, str) else d
+                           for d in docs], max_n)
+    return table.score(range(len(docs)), table.clipped())
 
 
 def context_right_num(top5: RankedList, golds: Sequence[str],

@@ -436,8 +436,8 @@ class ExperimentRunner:
             ctx_rows.append(row)
         write_jsonl(phase_dir / CONTEXTS_FILE, ctx_rows)
         write_jsonl(phase_dir / GENERATIONS_FILE,
-                    [asdict(r) for r in artifacts.records])
-        write_jsonl(phase_dir / RECORDS_FILE, [asdict(r) for r in eval_records])
+                    [vars(r) for r in artifacts.records])
+        write_jsonl(phase_dir / RECORDS_FILE, [vars(r) for r in eval_records])
         write_jsonl(phase_dir / ADDITIONS_FILE, [d.to_dict() for d in new_docs])
         write_json(phase_dir / METRICS_FILE,
                    {"config_hash": self.config_hash,

@@ -5,7 +5,10 @@ The oracles below are the text-based versions of Self-BLEU, the diversity
 filter and the document-grading metrics, copied unchanged from before the
 corpus cached document tokens, and the diversity filter that rescored
 every leave-one-out subset from n-gram Counters before it kept per-slot
-counts. Every comparison requires exact equality:
+counts. That filter scores with `maxima_self_bleu`, the Self-BLEU that
+clipped each set's Counters by a dict of per-n-gram maxima before
+`self_bleu` moved onto the filter's count table, so the table is never
+checked against itself. Every comparison requires exact equality:
 the arithmetic is the same, so the floats must be bit-equal. The synthetic
 generator's former side methods for false answers and judge replies are
 kept too, as oracles for the requests `generate` now answers. So are the
@@ -19,7 +22,7 @@ import math
 import random
 import re
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from ragloop.filters import DIVERSITY_THRESHOLD, FilterResult
 from ragloop.generation import (ANSWER_CHECK, CONTEXT_SIZE, FALSE_ANSWER_COUNT,
                                 MIS_ANSWER, GenerationRequest,
                                 SyntheticGenerator, build_prompt, derive_seed)
-from ragloop.metrics import normalize_answer
+from ragloop.metrics import _bleu_from_clipped, normalize_answer
 from ragloop.config import parse_config_mapping
 from ragloop.postprocess import PhraseList, clean, default_phrase_list
 from ragloop.retrieval import (BM25_B, BM25_K1, InvertedIndex, RankEntry,
@@ -119,6 +122,82 @@ def self_bleu(docs: Sequence[str], max_n: int = 3) -> float:
     return sum(scores) / len(scores)
 
 
+class NgramProfile(NamedTuple):
+    """A document's length and its n-gram Counters, `counts[n - 1]` for
+    n = 1..max_n. 1-grams are keyed by the token, longer ones by tuples."""
+
+    length: int
+    counts: tuple[Counter, ...]
+
+
+def ngram_profile(tokens: Sequence[str], max_n: int = 3) -> NgramProfile:
+    return NgramProfile(len(tokens), (Counter(tokens),) + tuple(
+        Counter(zip(*(tokens[i:] for i in range(n))))
+        for n in range(2, max_n + 1)))
+
+
+def _set_maxima(counters: list[Counter]) -> dict:
+    """Each n-gram's largest count over the set, and the largest count left
+    once one document holding that count is set aside (0 if none)."""
+    maxima: dict = {}
+    get = maxima.get
+    for counts in counters:
+        for ngram, cnt in counts.items():
+            top = get(ngram)
+            if top is None:
+                maxima[ngram] = (cnt, 0)
+            elif cnt > top[0]:
+                maxima[ngram] = (cnt, top[0])
+            elif cnt > top[1]:
+                maxima[ngram] = (top[0], cnt)
+    return maxima
+
+
+def _clipped_counts(candidate: NgramProfile, set_maxima: list[dict],
+                    max_n: int) -> Iterator[int]:
+    """The candidate's n-gram counts clipped by the other members of its
+    set, one sum per order n = 1..max_n, each computed when it is read.
+    `set_maxima[n - 1]` is `_set_maxima` of the whole set's n-gram
+    Counters."""
+    for n in range(max_n):
+        maxima = set_maxima[n]
+        clipped = 0
+        for ngram, cnt in candidate.counts[n].items():
+            # below the set's largest count, a reference holds the largest;
+            # at it, the best reference holds the runner-up
+            largest, runner_up = maxima[ngram]
+            clipped += cnt if cnt < largest else runner_up
+        yield clipped
+
+
+def maxima_self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> float:
+    """Mean BLEU of each document against the rest of the set.
+
+    High values mean the set is homogeneous. Uses uniform 1..max_n-gram
+    weights and no smoothing, so disjoint sets score exactly 0 and
+    identical sets exactly 1.
+
+    A document is a text or a token sequence (such as the corpus's cached
+    tokens). Each document's n-gram Counters are built once per call and
+    dropped afterwards: keeping them for every document that reaches a
+    top-5 list would cost several times the memory of the cached tokens
+    they are built from.
+    """
+    if len(docs) < 2:
+        raise ValueError("self_bleu needs at least 2 documents")
+    profiles = [ngram_profile(tokenize(d) if isinstance(d, str) else d, max_n)
+                for d in docs]
+    set_maxima = [_set_maxima([p.counts[n] for p in profiles])
+                  for n in range(max_n)]
+    lengths = [p.length for p in profiles]
+    scores = []
+    for i, candidate in enumerate(profiles):
+        scores.append(_bleu_from_clipped(
+            _clipped_counts(candidate, set_maxima, max_n), candidate.length,
+            lengths[:i] + lengths[i + 1:], max_n))
+    return sum(scores) / len(scores)
+
+
 def _set_self_bleu(entries: list[RankEntry], texts: dict[str, str]) -> float:
     if len(entries) < 2:
         return 0.0
@@ -168,7 +247,7 @@ def _counter_set_self_bleu(entries: list[RankEntry],
                             tokens: dict[str, tuple[str, ...]]) -> float:
     if len(entries) < 2:
         return 0.0
-    return metrics.self_bleu([tokens[e.doc_id] for e in entries])
+    return maxima_self_bleu([tokens[e.doc_id] for e in entries])
 
 
 def counter_diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
@@ -179,7 +258,7 @@ def counter_diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
     remain: score every leave-one-out subset, drop the document whose
     removal helps most (ties drop the worst-ranked), and pull in the next
     candidate. Stops at the first conforming set, or flags exhaustion.
-    Each subset is scored by `metrics.self_bleu` on the corpus's cached
+    Each subset is scored by `maxima_self_bleu` on the corpus's cached
     tokens, read once per candidate when it joins the working set.
     """
     entries = candidates.entries
@@ -403,6 +482,7 @@ def test_self_bleu_bit_equal_on_random_token_sets():
                 for _ in range(rng.randint(2, 6))]
         max_n = rng.randint(1, 4)
         want = self_bleu(docs, max_n)
+        assert maxima_self_bleu(docs, max_n) == want
         assert metrics.self_bleu(docs, max_n) == want
         assert metrics.self_bleu([" ".join(d) for d in docs], max_n) == want
 
@@ -415,6 +495,7 @@ def test_self_bleu_bit_equal_on_recorded_top5_sets(recorded):
         if len(ids) < 2:
             continue
         want = self_bleu([corpus.get_text(d) for d in ids])
+        assert maxima_self_bleu([corpus.tokens(d) for d in ids]) == want
         assert metrics.self_bleu([corpus.tokens(d) for d in ids]) == want
         compared += 1
     assert compared >= 20

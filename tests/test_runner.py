@@ -216,9 +216,23 @@ def test_query_set_rejects_wrongly_typed_fields(tmp_path, record):
     # a string of answers used to become one answer per character
     path = tmp_path / "queries.jsonl"
     path.write_text(json.dumps({"query_id": "q1", "question": "ok",
-                                "answers": ["a"]}) + "\n" + json.dumps(record) + "\n")
+                                "answers": ["Paris"]}) + "\n" + json.dumps(record) + "\n")
     with pytest.raises(CorpusFormatError, match=r"queries\.jsonl:2: question must "
                                                  r"be a string and answers a list"):
+        load_query_set(path)
+
+
+@pytest.mark.parametrize("answer", ["A", "", "?!", "the -- an"])
+def test_query_set_rejects_answers_that_normalize_to_nothing(tmp_path, answer):
+    # em is 0 for such an answer on any text, so its query could never be
+    # graded correct
+    path = tmp_path / "queries.jsonl"
+    path.write_text(json.dumps({"query_id": "q1", "question": "ok",
+                                "answers": ["Paris"]}) + "\n" +
+                    json.dumps({"query_id": "q2", "question": "ok",
+                                "answers": ["Rome", answer]}) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"queries\.jsonl:2: answer " +
+                       re.escape(repr(answer)) + " normalizes to nothing"):
         load_query_set(path)
 
 
