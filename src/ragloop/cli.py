@@ -9,7 +9,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import ensure_valid, load_config
+from .config import FILTER_MODES, ensure_valid, load_config
 from .errors import ConfigValidationError, RagLoopError
 from .runner import (ExperimentRunner, emit_plot_series, manifest_status,
                      run_experiment)
@@ -22,7 +22,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="global seed (overrides config)")
     parser.add_argument("--offline", action="store_true",
                         help="forbid remote backends; offline stubs only")
-    parser.add_argument("--filter", choices=["none", "source", "diversity"],
+    parser.add_argument("--filter", choices=FILTER_MODES,
                         help="context filter mode (overrides config)")
     parser.add_argument("--misinfo", action="store_true",
                         help="inject misinformation passages instead of "

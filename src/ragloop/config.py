@@ -16,11 +16,11 @@ import yaml
 
 from .corpus import record_id
 from .errors import ConfigValidationError, CorpusFormatError
-from .filters import MarkerStubDetector, RemoteDetectorClient
+from .filters import DIVERSITY_THRESHOLD, MarkerStubDetector, RemoteDetectorClient
 from .generation import (CONTEXT_SIZE, DEFAULT_STYLE_MARKER,
                          DEFAULT_TEMPERATURE, RemoteChatGenerator,
                          SyntheticGenerator)
-from .metrics import normalize_answer
+from .metrics import answer_needle
 from .remote import Endpoint, session
 from .rerank import (FAILURE_ABORT, FAILURE_PASS_THROUGH,
                      LexicalOverlapBackend, RemoteScorerBackend)
@@ -72,7 +72,7 @@ def load_query_set(path: str | Path) -> list[QueryRecord]:
                 raise CorpusFormatError(f"query {qid!r} has no answers",
                                         path=str(path), line_no=line_no)
             for answer in answers:
-                if not normalize_answer(answer):
+                if not answer_needle(answer):
                     raise CorpusFormatError(f"answer {answer!r} normalizes to nothing, so no "
                                             "text can match it", path=str(path), line_no=line_no)
             if qid in seen:
@@ -120,7 +120,7 @@ class ExperimentConfig:
     schedule: list[ScheduleEntry] = field(default_factory=list)
     temperature: float = DEFAULT_TEMPERATURE
     filter_mode: str = "none"
-    diversity_threshold: float = 0.4
+    diversity_threshold: float = DIVERSITY_THRESHOLD
     phrase_file: str = ""
     misinfo: bool = False
     grade_with_judge: bool = False
@@ -128,9 +128,9 @@ class ExperimentConfig:
     offline: bool = False
     max_in_flight: int = 1
     max_failure_fraction: float = 0.5
-    timeout: float = 30.0
-    retries: int = 3
-    backoff: float = 1.0
+    timeout: float = Endpoint.timeout
+    retries: int = Endpoint.retries
+    backoff: float = Endpoint.backoff
     # remote service endpoints; empty means offline stub
     embedding_endpoint: str = ""
     embedding_model: str = ""

@@ -4,6 +4,7 @@ correlation."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,13 +23,20 @@ def normalize_answer(text: str) -> list[str]:
     return [t for t in tokenize(text) if t not in _ARTICLES]
 
 
-def _gold_needles(gold_answers: Sequence[str]) -> list[list[str]]:
+@functools.cache
+def answer_needle(answer: str) -> tuple[str, ...]:
+    """`normalize_answer` of a gold answer, computed once per process:
+    answers never change after load and are matched on every ranked list."""
+    return tuple(normalize_answer(answer))
+
+
+def _gold_needles(gold_answers: Sequence[str]) -> list[tuple[str, ...]]:
     if not gold_answers:
         raise ValueError("em requires at least one gold answer")
-    return [normalize_answer(gold) for gold in gold_answers]
+    return [answer_needle(gold) for gold in gold_answers]
 
 
-def _contains_normalized(tokens: Sequence[str], needle: list[str]) -> bool:
+def _contains_normalized(tokens: Sequence[str], needle: Sequence[str]) -> bool:
     """Whether `needle`, a normalized answer, occurs contiguously in
     `normalize_answer` of the text whose tokens are `tokens`. Articles are
     stepped over while matching instead of being stripped first, so the
@@ -55,7 +63,7 @@ def _contains_normalized(tokens: Sequence[str], needle: list[str]) -> bool:
         start = i + 1
 
 
-def _contains_any(needles: list[list[str]], tokens: Sequence[str]) -> int:
+def _contains_any(needles: list[tuple[str, ...]], tokens: Sequence[str]) -> int:
     return int(any(_contains_normalized(tokens, n) for n in needles))
 
 

@@ -12,6 +12,7 @@ import hashlib
 import math
 import re
 from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -75,8 +76,7 @@ def _id_rank(doc_ids: list[str]) -> np.ndarray:
     """Each position's rank in ascending doc_id order: the search tie-break."""
     order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
     id_rank = np.empty(len(order), dtype=np.int64)
-    for rank, idx in enumerate(order):
-        id_rank[idx] = rank
+    id_rank[order] = np.arange(len(order))
     return id_rank
 
 
@@ -100,88 +100,80 @@ def _top_k(idxs: np.ndarray, scores: np.ndarray, id_rank: np.ndarray,
     return idxs[order[:k]]
 
 
-class InvertedIndex:
-    """BM25 inverted index supporting single-writer incremental additions.
-
-    Documents are indexed by insertion order; the public interface speaks
-    doc_id strings. Searches may run concurrently between additions: the
-    caches they fill lazily are derived from data no search changes, and
-    each is published by a single assignment.
-
-    `postings` maps each term to two parallel `array("i")`: the indexes of
-    the documents that hold it, ascending, and its frequency in each; 8
-    bytes a posting. Numpy reads them through a copy, never a view: a view
-    exports the array's buffer, and while one lives `add` cannot append.
-    """
+class _DocIds:
+    """The doc_id bookkeeping both indexes share: ids in insertion order,
+    the set that rejects a second add, and the ranks that break ties."""
 
     def __init__(self):
-        self.postings: dict[str, tuple[array, array]] = {}
         self.doc_ids: list[str] = []
-        self._idx_of: dict[str, int] = {}
-        self.doc_lengths: list[int] = []
-        self.total_length = 0
-        # caches rebuilt lazily after each mutation
-        self._postings_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._caches: tuple[np.ndarray, np.ndarray] | None = None
+        self._ids: set[str] = set()
+        self._id_rank = np.zeros(0, dtype=np.int64)
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
+
+    def _check_new(self, doc_ids: list[str]) -> None:
+        fresh: set[str] = set()
+        for doc_id in doc_ids:
+            if doc_id in self._ids or doc_id in fresh:
+                raise ValueError(f"doc_id {doc_id!r} is already indexed or repeated")
+            fresh.add(doc_id)
+
+    def _append_ids(self, doc_ids: list[str]) -> None:
+        self.doc_ids.extend(doc_ids)
+        self._ids.update(doc_ids)
+        self._id_rank = _id_rank(self.doc_ids)
+
+
+class InvertedIndex(_DocIds):
+    """BM25 inverted index supporting single-writer incremental additions.
+
+    Built by `add`, read by `search`: `add` sets everything a search reads
+    (postings, length norms, doc_id ranks) and `search` changes nothing, so
+    searches may run concurrently with each other, never with an `add`.
+    Documents are indexed by insertion order; the API speaks doc_id strings.
+
+    `postings` maps each term to two parallel arrays: the int64 indexes of
+    the documents that hold it, ascending, and its int32 frequency in each.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.doc_lengths: list[int] = []
+        self.total_length = 0
+        self._norm = np.zeros(0)
 
     @property
     def avg_doc_length(self) -> float:
         return self.total_length / self.doc_count if self.doc_count else 0.0
 
     def add(self, docs: list[Document]) -> None:
-        for doc in docs:
-            if doc.doc_id in self._idx_of:
-                raise ValueError(f"doc_id {doc.doc_id!r} already indexed")
-        for doc in docs:
-            idx = len(self.doc_ids)
-            self._idx_of[doc.doc_id] = idx
-            self.doc_ids.append(doc.doc_id)
+        """Index `docs`; a rejected batch changes nothing."""
+        ids = [d.doc_id for d in docs]
+        self._check_new(ids)
+        # the batch's postings stay compact until one concatenation per term
+        batch = defaultdict(lambda: (array("q"), array("i")))
+        for idx, doc in enumerate(docs, start=self.doc_count):
             tokens = tokenize(doc.text)
             self.doc_lengths.append(len(tokens))
             self.total_length += len(tokens)
-            tf: dict[str, int] = {}
-            for t in tokens:
-                tf[t] = tf.get(t, 0) + 1
-            for term, count in tf.items():
-                plist = self.postings.get(term)
-                if plist is None:
-                    plist = self.postings[term] = (array("i"), array("i"))
-                plist[0].append(idx)
-                plist[1].append(count)
-        if docs:
-            self._postings_arrays.clear()
-            self._caches = None
-
-    def _ensure_caches(self) -> tuple[np.ndarray, np.ndarray]:
-        """(BM25 length normalisation, doc_id ranks), published together."""
-        caches = self._caches
-        if caches is None:
-            lengths = np.asarray(self.doc_lengths, dtype=np.float64)
-            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / self.avg_doc_length)
-            caches = (norm, _id_rank(self.doc_ids))
-            self._caches = caches
-        return caches
-
-    def _term_arrays(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        cached = self._postings_arrays.get(term)
-        if cached is not None:
-            return cached
-        plist = self.postings.get(term)
-        if plist is None:
-            return None
-        # astype copies, so no view of the arrays' buffers outlives this line
-        idxs = np.frombuffer(plist[0], dtype=np.intc).astype(np.int64)
-        tfs = np.frombuffer(plist[1], dtype=np.intc).astype(np.float64)
-        self._postings_arrays[term] = (idxs, tfs)
-        return idxs, tfs
+            for term, count in Counter(tokens).items():
+                idxs, tfs = batch[term]
+                idxs.append(idx)
+                tfs.append(count)
+        self._append_ids(ids)
+        for term, (idxs, tfs) in batch.items():
+            new = (np.array(idxs, dtype=np.int64), np.array(tfs, dtype=np.int32))
+            old = self.postings.get(term)
+            self.postings[term] = new if old is None else (
+                np.concatenate((old[0], new[0])), np.concatenate((old[1], new[1])))
+        lengths = np.asarray(self.doc_lengths, dtype=np.float64)
+        self._norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / self.avg_doc_length)
 
     def idf(self, term: str) -> float:
-        plist = self.postings.get(term)
-        df = len(plist[0]) if plist is not None else 0
+        df = len(self.postings[term][0]) if term in self.postings else 0
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
     def search(self, query: str, k: int) -> list[tuple[str, float]]:
@@ -195,21 +187,17 @@ class InvertedIndex:
         terms = tokenize(query)
         if not terms or not self.doc_count:
             return []
-        norm, id_rank = self._ensure_caches()
         scores = np.zeros(self.doc_count, dtype=np.float64)
         matched = np.zeros(self.doc_count, dtype=bool)
         for term in terms:
-            arrs = self._term_arrays(term)
-            if arrs is None:
-                continue
-            idxs, tfs = arrs
-            idf = self.idf(term)
-            scores[idxs] += idf * tfs / (tfs + norm[idxs])
-            matched[idxs] = True
+            if term in self.postings:
+                idxs, tfs = self.postings[term]
+                scores[idxs] += self.idf(term) * tfs / (tfs + self._norm[idxs])
+                matched[idxs] = True
         hit_idxs = np.nonzero(matched)[0]
         if hit_idxs.size == 0:
             return []
-        top = _top_k(hit_idxs, scores[hit_idxs], id_rank, k)
+        top = _top_k(hit_idxs, scores[hit_idxs], self._id_rank, k)
         return [(self.doc_ids[i], float(scores[i])) for i in top]
 
 
@@ -287,62 +275,48 @@ class RemoteEmbeddingClient:
         return vectors
 
 
-class VectorIndex:
+class VectorIndex(_DocIds):
     """Exact brute-force cosine-similarity index.
 
-    Searches may run concurrently between additions, as with
-    InvertedIndex.
+    Built by `add_vectors`, read by `search_vector`: `add_vectors` grows the
+    one float64 `matrix`, a row per document in insertion order, and sets
+    its row norms and the doc_id ranks. Searches may run concurrently with
+    each other, never with an addition, as with InvertedIndex.
     """
 
     def __init__(self):
+        super().__init__()
         self.dim: int | None = None
-        self.doc_ids: list[str] = []
-        self._idx_of: dict[str, int] = {}
-        self._vectors: list[np.ndarray] = []
-        # (matrix, row norms, doc_id ranks), rebuilt lazily after each mutation
-        self._caches: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.doc_ids)
+        self.matrix = np.zeros((0, 0))
+        self._norms = np.zeros(0)
 
     def add_vectors(self, items: list[tuple[str, np.ndarray]]) -> None:
-        for doc_id, vec in items:
-            if doc_id in self._idx_of:
-                raise ValueError(f"doc_id {doc_id!r} already indexed")
-            vec = np.asarray(vec, dtype=np.float64)
+        """Index `items`; a rejected batch changes nothing."""
+        ids = [doc_id for doc_id, _ in items]
+        self._check_new(ids)
+        rows = [np.asarray(vec, dtype=np.float64) for _, vec in items]
+        # the first vector sets the dimension of an empty index
+        dim = rows[0].size if self.dim is None and rows else self.dim
+        for doc_id, vec in zip(ids, rows):
             if vec.ndim != 1:
                 raise ValueError("embeddings must be 1-d vectors")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"non-finite embedding for {doc_id!r}")
-            if self.dim is None:
-                self.dim = int(vec.shape[0])
-            elif vec.shape[0] != self.dim:
+            if vec.shape[0] != dim:
                 raise ValueError(
                     f"dimension mismatch for {doc_id!r}: got {vec.shape[0]}, "
-                    f"index dimension is {self.dim}")
-            self._idx_of[doc_id] = len(self.doc_ids)
-            self.doc_ids.append(doc_id)
-            self._vectors.append(vec)
-        if items:
-            self._caches = None
+                    f"index dimension is {dim}")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"non-finite embedding for {doc_id!r}")
+        if not items:
+            return
+        self.dim = dim
+        self.matrix = np.vstack([self.matrix, *rows] if self.doc_ids else rows)
+        self._append_ids(ids)
+        self._norms = np.linalg.norm(self.matrix, axis=1)
 
     def add_documents(self, docs: list[Document], embedder) -> None:
         # an empty commit must not cost a (remote) embeddings request
         vectors = embedder.embed([d.text for d in docs]) if docs else []
         self.add_vectors(list(zip([d.doc_id for d in docs], vectors)))
-
-    def _ensure_caches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(matrix, row norms, doc_id ranks), published together: a search
-        that sees the matrix also sees its norms."""
-        caches = self._caches
-        if caches is None:
-            matrix = np.vstack(self._vectors) if self._vectors else \
-                np.zeros((0, self.dim or 0))
-            caches = (matrix, np.linalg.norm(matrix, axis=1),
-                      _id_rank(self.doc_ids))
-            self._caches = caches
-        return caches
 
     def search_vector(self, query_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
         if k < 1:
@@ -355,12 +329,11 @@ class VectorIndex:
                 f"query dimension {query_vec.shape} does not match index ({self.dim},)")
         if not np.all(np.isfinite(query_vec)):
             raise ValueError("non-finite query embedding")
-        matrix, norms, id_rank = self._ensure_caches()
         # a zero query vector makes every denominator 0, so every score 0.0
-        denom = norms * float(np.linalg.norm(query_vec))
-        dots = matrix @ query_vec
+        denom = self._norms * float(np.linalg.norm(query_vec))
+        dots = self.matrix @ query_vec
         sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-        top = _top_k(np.arange(self.doc_count), sims, id_rank, k)
+        top = _top_k(np.arange(self.doc_count), sims, self._id_rank, k)
         return [(self.doc_ids[i], float(sims[i])) for i in top]
 
 

@@ -420,7 +420,7 @@ def oracle_bm25_search(index: InvertedIndex, query: str,
 
 def oracle_vector_search(vindex: VectorIndex, query_vec: np.ndarray,
                          k: int) -> list[tuple[str, float]]:
-    matrix = np.vstack(vindex._vectors)
+    matrix = vindex.matrix
     norms = np.linalg.norm(matrix, axis=1)
     id_rank = _id_rank(vindex.doc_ids)
     qnorm = float(np.linalg.norm(query_vec))

@@ -149,6 +149,42 @@ def test_incremental_equals_rebuild_bit_identical():
         assert a == b  # ids, exact float scores, and order
 
 
+def test_incremental_postings_equal_rebuild():
+    # batches of uneven size, so every term's arrays are concatenated
+    # from parts that start and end at different documents
+    rng = random.Random(99)
+    vocab = [f"w{i}" for i in range(80)]
+    docs = _random_docs(rng, 300, vocab)
+    incremental = InvertedIndex()
+    for start, stop in [(0, 1), (1, 40), (40, 41), (41, 177), (177, 300)]:
+        incremental.add(docs[start:stop])
+    rebuilt = InvertedIndex()
+    rebuilt.add(docs)
+    assert incremental.postings.keys() == rebuilt.postings.keys()
+    for term, (idxs, tfs) in rebuilt.postings.items():
+        inc_idxs, inc_tfs = incremental.postings[term]
+        assert (inc_idxs.dtype, inc_tfs.dtype) == (np.int64, np.int32)
+        assert (idxs.dtype, tfs.dtype) == (np.int64, np.int32)
+        assert np.array_equal(inc_idxs, idxs) and np.array_equal(inc_tfs, tfs)
+        assert np.all(np.diff(idxs) > 0)
+    assert incremental.doc_lengths == rebuilt.doc_lengths
+    assert incremental.total_length == rebuilt.total_length
+
+
+@pytest.mark.parametrize("batch", [
+    ["d2", "d2"],              # repeated next to itself
+    ["d2", "d3", "d4", "d2"],  # repeated further on
+])
+def test_index_add_rejects_a_bad_batch_whole(batch):
+    index = InvertedIndex()
+    index.add([human_doc("d1", "apple pie")])
+    with pytest.raises(ValueError, match="already indexed or repeated"):
+        index.add([human_doc(doc_id, "apple tart") for doc_id in batch])
+    assert index.doc_ids == ["d1"] and index.doc_lengths == [2]
+    assert [len(idxs) for idxs, _ in index.postings.values()] == [1, 1]
+    assert [doc_id for doc_id, _ in index.search("apple", 10)] == ["d1"]
+
+
 # ---- dense ----------------------------------------------------------------
 
 def test_dense_exact_match_vector():
@@ -185,6 +221,43 @@ def test_dense_dimension_mismatch_rejected():
         vindex.add_vectors([("d2", np.array([1.0, 0.0, 0.0]))])
     with pytest.raises(ValueError, match="dimension"):
         vindex.search_vector(np.array([1.0]), 1)
+
+
+def test_vector_matrix_and_norms_equal_rebuild():
+    rng = np.random.default_rng(7)
+    items = [(f"v{i:03d}", rng.normal(size=12)) for i in range(90)]
+    incremental = VectorIndex()
+    for start, stop in [(0, 1), (1, 30), (30, 31), (31, 90)]:
+        incremental.add_vectors(items[start:stop])
+    rebuilt = VectorIndex()
+    rebuilt.add_vectors(items)
+    assert incremental.matrix.dtype == rebuilt.matrix.dtype == np.float64
+    assert incremental.matrix.shape == (90, 12)
+    assert np.array_equal(incremental.matrix, rebuilt.matrix)
+    assert np.array_equal(incremental.matrix, np.vstack([v for _, v in items]))
+    assert incremental._norms.tobytes() == rebuilt._norms.tobytes()
+    assert incremental._id_rank.tobytes() == rebuilt._id_rank.tobytes()
+
+
+@pytest.mark.parametrize("batch, match", [
+    ([("c", [0.5, 0.5]), ("d", [1.0, 0.0, 0.0])], "dimension mismatch"),
+    ([("c", [0.5, 0.5]), ("d", [math.nan, 0.0])], "non-finite"),
+    ([("c", [0.5, 0.5]), ("d", [[1.0, 0.0]])], "1-d"),
+    ([("c", [0.5, 0.5]), ("c", [0.0, 1.0])], "already indexed"),
+])
+@pytest.mark.parametrize("indexed", [0, 2])
+def test_dense_rejects_a_bad_batch_whole(batch, match, indexed):
+    # the first item is good; on an empty index it would also set the dimension
+    vindex = VectorIndex()
+    vindex.add_vectors([("a", np.array([1.0, 0.0])), ("b", np.array([0.0, 1.0]))][:indexed])
+    with pytest.raises(ValueError, match=match):
+        vindex.add_vectors([(doc_id, np.array(vec)) for doc_id, vec in batch])
+    assert vindex.doc_ids == ["a", "b"][:indexed]
+    assert vindex.matrix.shape[0] == indexed
+    assert vindex.dim == (2 if indexed else None)
+    vindex.add_vectors([("e", np.array([0.0, 3.0]))])
+    found = {doc_id for doc_id, _ in vindex.search_vector(np.array([1.0, 1.0]), 9)}
+    assert found == ({"a", "b", "e"} if indexed else {"e"})
 
 
 def test_dense_rejects_non_finite_vectors():
