@@ -33,6 +33,8 @@ class SourceTag:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.kind == GENERATED and not self.generator_name:
             raise ValueError("generated source requires a generator_name")
+        if self.kind == GENERATED and self.generator_name == HUMAN:
+            raise ValueError("generator_name 'human' is reserved for human sources")
         if self.kind == HUMAN and self.generator_name is not None:
             raise ValueError("human source must not carry a generator_name")
 
@@ -40,16 +42,6 @@ class SourceTag:
     def label(self) -> str:
         """Display/aggregation key: 'human' or the generator name."""
         return self.generator_name if self.kind == GENERATED else HUMAN
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.generator_name is not None:
-            d["generator_name"] = self.generator_name
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SourceTag":
-        return cls(kind=d["kind"], generator_name=d.get("generator_name"))
 
 
 HUMAN_SOURCE = SourceTag(kind=HUMAN)
@@ -81,27 +73,6 @@ class Document:
                 f"generated document {self.doc_id!r} needs origin_query_id "
                 "and iteration_added >= 1"
             )
-
-    def to_dict(self) -> dict:
-        d: dict = {
-            "doc_id": self.doc_id,
-            "text": self.text,
-            "source": self.source.to_dict(),
-            "iteration_added": self.iteration_added,
-        }
-        if self.origin_query_id is not None:
-            d["origin_query_id"] = self.origin_query_id
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Document":
-        return cls(
-            doc_id=d["doc_id"],
-            text=d["text"],
-            source=SourceTag.from_dict(d["source"]),
-            origin_query_id=d.get("origin_query_id"),
-            iteration_added=int(d.get("iteration_added", 0)),
-        )
 
 
 def generated_doc_id(generator_name: str, iteration: int, query_id: str) -> str:

@@ -83,10 +83,6 @@ class FilterResult:
     def doc_ids(self) -> list[str]:
         return [e.doc_id for e in self.entries]
 
-    def flags(self) -> dict[str, bool]:
-        return {"shortfall": self.shortfall, "exhausted": self.exhausted,
-                "fallback_unfiltered": self.fallback_unfiltered}
-
 
 def source_filter(candidates: RankedList, detector,
                   corpus: CorpusSnapshot) -> FilterResult:

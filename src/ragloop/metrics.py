@@ -89,20 +89,19 @@ def acc_at_k(first_ranks: Sequence[int | None], k: int) -> float:
     return 100.0 * hits / len(first_ranks)
 
 
+def _source_counts(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
+                   k: int) -> Counter[str]:
+    """How many pooled top-k slots across queries each source label holds."""
+    return Counter(corpus.source_of(entry.doc_id).label
+                   for rl in ranked for entry in rl.top(k))
+
+
 def dominance_p(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
                 k: int = 5) -> float:
     """Pooled share of generator-sourced documents among top-k slots."""
-    llm = 0
-    total = 0
-    for rl in ranked:
-        for entry in rl.top(k):
-            source = corpus.source_of(entry.doc_id)
-            total += 1
-            if source.kind != HUMAN:
-                llm += 1
-    if total == 0:
-        return 0.0
-    return 100.0 * llm / total
+    counts = _source_counts(ranked, corpus, k)
+    total = sum(counts.values())
+    return 100.0 * (total - counts[HUMAN]) / total if total else 0.0
 
 
 def source_share(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
@@ -112,14 +111,8 @@ def source_share(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
     Lists shorter than top_n contribute only their actual slots, so the
     shares always sum to 100.
     """
-    counts: Counter[str] = Counter()
-    total = 0
-    for rl in ranked:
-        for entry in rl.top(top_n):
-            counts[corpus.source_of(entry.doc_id).label] += 1
-            total += 1
-    if total == 0:
-        return {}
+    counts = _source_counts(ranked, corpus, top_n)
+    total = sum(counts.values())
     return {label: 100.0 * n / total for label, n in sorted(counts.items())}
 
 

@@ -64,13 +64,6 @@ class RankedList:
                    for rank, (doc_id, score) in enumerate(pairs, start=1)]
         return cls(query_id=query_id, iteration=iteration, entries=entries)
 
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "iteration": self.iteration,
-            "entries": [[e.doc_id, e.score, e.rank] for e in self.entries],
-        }
-
 
 def _id_rank(doc_ids: list[str]) -> np.ndarray:
     """Each position's rank in ascending doc_id order: the search tie-break."""

@@ -107,6 +107,16 @@ def write_json(path: Path, obj: dict) -> None:
                                    indent=2) + "\n")
 
 
+def doc_row(doc: Document) -> dict:
+    """The run-file row of a document: its fields, with `source` nested."""
+    return {**vars(doc), "source": vars(doc.source)}
+
+
+def doc_from_row(row: dict) -> Document:
+    """The document that `doc_row` turned into `row`."""
+    return Document(**{**row, "source": SourceTag(**row["source"])})
+
+
 def _generated_doc(gen_name: str, iteration: int, query_id: str,
                    text: str) -> Document:
     """A cleaned answer as the corpus document it becomes at `iteration`."""
@@ -424,21 +434,21 @@ class ExperimentRunner:
                        eval_records: list[M.EvalRecord],
                        new_docs: list[Document]) -> None:
         phase_dir = self._iter_dir(iteration)
-        write_jsonl(phase_dir / RANKED_FILE,
-                    [artifacts.ranked[q.query_id].to_dict()
-                     for q in self.queries])
-        ctx_rows = []
-        for q in self.queries:
-            result = artifacts.contexts[q.query_id]
-            row = {"query_id": q.query_id, "doc_ids": result.doc_ids(),
-                   "removals": result.removals}
-            row.update(result.flags())
-            ctx_rows.append(row)
-        write_jsonl(phase_dir / CONTEXTS_FILE, ctx_rows)
+        # `_run_phase` fills `ranked` and `contexts` in query order
+        write_jsonl(phase_dir / RANKED_FILE, [
+            {"query_id": rl.query_id, "iteration": rl.iteration,
+             "entries": [[e.doc_id, e.score, e.rank] for e in rl.entries]}
+            for rl in artifacts.ranked.values()])
+        write_jsonl(phase_dir / CONTEXTS_FILE, [
+            {"query_id": qid, "doc_ids": kept.doc_ids(),
+             "removals": kept.removals, "shortfall": kept.shortfall,
+             "exhausted": kept.exhausted,
+             "fallback_unfiltered": kept.fallback_unfiltered}
+            for qid, kept in artifacts.contexts.items()])
         write_jsonl(phase_dir / GENERATIONS_FILE,
                     [vars(r) for r in artifacts.records])
         write_jsonl(phase_dir / RECORDS_FILE, [vars(r) for r in eval_records])
-        write_jsonl(phase_dir / ADDITIONS_FILE, [d.to_dict() for d in new_docs])
+        write_jsonl(phase_dir / ADDITIONS_FILE, [doc_row(d) for d in new_docs])
         write_json(phase_dir / METRICS_FILE,
                    {"config_hash": self.config_hash,
                     "metrics": asdict(artifacts.metrics)})
@@ -459,7 +469,7 @@ class ExperimentRunner:
         self._check_phase_hash(config_hash, phase_dir.name)
         em_map = dict(read_jsonl(phase_dir / RECORDS_FILE, lambda row: (
             (row["query_id"], row["generator_name"]), int(row["em"]))))
-        docs = read_jsonl(phase_dir / ADDITIONS_FILE, Document.from_dict)
+        docs = read_jsonl(phase_dir / ADDITIONS_FILE, doc_from_row)
         return bundle, em_map, docs
 
     # ---- injection -------------------------------------------------------
@@ -475,7 +485,7 @@ class ExperimentRunner:
         if (inj_dir / MISINFO_FILE).is_file():
             self.misinfo_specs = {spec.query_id: spec for spec in read_jsonl(
                 inj_dir / MISINFO_FILE, lambda row: MisinfoSpec(**row))}
-        return read_jsonl(inj_dir / ADDITIONS_FILE, Document.from_dict)
+        return read_jsonl(inj_dir / ADDITIONS_FILE, doc_from_row)
 
     def inject_zero_shot(self) -> list[Document]:
         """Generate and commit the iteration-1 additions: one document per
@@ -489,7 +499,7 @@ class ExperimentRunner:
             raise RagLoopError("zero-shot injection produced no documents; "
                                "check generator backends")
         inj_dir = self._injection_dir()
-        write_jsonl(inj_dir / ADDITIONS_FILE, [d.to_dict() for d in docs])
+        write_jsonl(inj_dir / ADDITIONS_FILE, [doc_row(d) for d in docs])
         if self.config.misinfo:
             write_jsonl(inj_dir / MISINFO_FILE,
                         [asdict(self.misinfo_specs[qid])

@@ -8,11 +8,11 @@ reproducible from the seed.
 
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
 
 from .errors import RagLoopError
+from .runner import write_jsonl
 
 _SUBJECTS = ("harbor", "glacier", "orchard", "archive", "festival", "bridge",
              "observatory", "reservoir", "cathedral", "workshop", "meadow",
@@ -76,18 +76,10 @@ def make_seed_corpus(num_docs: int, queries: list[dict],
 def write_demo_dataset(out_dir: str | Path, num_docs: int = 500,
                        num_queries: int = 50, seed: int = 0) -> tuple[Path, Path]:
     """Write corpus.jsonl and queries.jsonl under out_dir; returns the paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     queries = make_queries(num_queries, seed=seed)
-    docs = make_seed_corpus(num_docs, queries, seed=seed)
-    corpus_path = out_dir / "corpus.jsonl"
-    query_path = out_dir / "queries.jsonl"
-    with corpus_path.open("w", encoding="utf-8") as fh:
-        for d in docs:
-            fh.write(json.dumps(d, sort_keys=True) + "\n")
-    with query_path.open("w", encoding="utf-8") as fh:
-        for q in queries:
-            record = {"query_id": q["query_id"], "question": q["question"],
-                      "answers": q["answers"]}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    corpus_path = Path(out_dir) / "corpus.jsonl"
+    query_path = Path(out_dir) / "queries.jsonl"
+    write_jsonl(corpus_path, make_seed_corpus(num_docs, queries, seed=seed))
+    write_jsonl(query_path, [{k: q[k] for k in ("query_id", "question", "answers")}
+                             for q in queries])
     return corpus_path, query_path

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -107,7 +108,10 @@ def test_cli_baseline_records_its_status(tmp_path, stub_server):
     ("records.jsonl", lambda text: text.replace("\n", '\n{"query_id": \n', 1),
      "records.jsonl:2:"),
     ("additions.jsonl", None, "additions.jsonl:"),
-], ids=["truncated-metrics", "bad-record-line", "missing-additions"])
+    ("additions.jsonl", lambda text: re.sub(r'"source": \{[^}]*\}, ', "", text, 1),
+     "additions.jsonl:1:"),
+], ids=["truncated-metrics", "bad-record-line", "missing-additions",
+        "addition-without-source"])
 def test_cli_resume_names_a_damaged_run_file(tmp_path, capsys, damaged, damage,
                                              where):
     cfg = _write_config(tmp_path)

@@ -11,6 +11,7 @@ from ragloop.corpus import (Document, DuplicateDocumentError, HUMAN_SOURCE,
                             ingest_seed_corpus)
 from ragloop.errors import CorpusFormatError
 from ragloop.retrieval import tokenize
+from ragloop.runner import doc_from_row, doc_row
 
 
 def test_ingest_three_records(tmp_path):
@@ -131,6 +132,11 @@ def test_generated_doc_requires_origin_query():
                  iteration_added=1)
 
 
+def test_generated_source_cannot_be_named_human():
+    with pytest.raises(ValueError, match="reserved for human sources"):
+        SourceTag(kind="generated", generator_name="human")
+
+
 def test_human_doc_cannot_carry_iteration():
     with pytest.raises(ValueError):
         Document(doc_id="h1", text="x", source=HUMAN_SOURCE, iteration_added=2)
@@ -176,7 +182,7 @@ def test_tokens_match_tokenize_after_ingest_add_and_reload(tmp_path):
         generated_doc("g1", "Gen text: the SAME words, the same words!", "g", "q1"),
         generated_doc("g2", "Ünïcode café_bar 42", "g", "q2")])
     _assert_tokens_match_text(snap)
-    reloaded = snapshot_of([Document.from_dict(json.loads(json.dumps(d.to_dict())))
+    reloaded = snapshot_of([doc_from_row(json.loads(json.dumps(doc_row(d))))
                             for d in snap.iter_documents()])
     _assert_tokens_match_text(reloaded)
 

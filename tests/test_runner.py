@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import StubServer
 from ragloop import runner as runner_module
 from ragloop.config import (ExperimentConfig, ensure_valid, load_config,
                             load_query_set, parse_config_mapping,
@@ -21,8 +22,8 @@ from ragloop.errors import (ConfigValidationError, CorpusFormatError,
 from ragloop.generation import SyntheticGenerator
 from ragloop.metrics import em
 from ragloop.retrieval import InvertedIndex, VectorIndex, tokenize
-from ragloop.runner import (ExperimentRunner, emit_plot_series, read_jsonl,
-                            run_experiment, sample_queries)
+from ragloop.runner import (ExperimentRunner, doc_from_row, emit_plot_series,
+                            read_jsonl, run_experiment, sample_queries)
 from ragloop.synthdata import write_demo_dataset
 
 
@@ -702,6 +703,55 @@ def test_remote_runs_match_across_concurrency_caps(tmp_path, keepalive_server):
         assert len(gens) == 2 * 12
 
 
+@pytest.fixture(scope="module")
+def unfaulted_remote_run(tmp_path_factory):
+    """A keep-alive stub server, a data directory, and the bytes and the
+    request count of one unfaulted remote run on them. Endpoint URLs and
+    data paths enter the config hash, so every faulted run compared with
+    these bytes uses the same server and directory."""
+    server = StubServer(keep_alive=True)
+    tmp_path = tmp_path_factory.mktemp("transient-faults")
+    _remote_routes(server)
+    config = _remote_config(tmp_path, server, "unfaulted", retries=1)
+    run_experiment(config)
+    yield server, tmp_path, _run_dir_bytes(config), len(server.requests)
+    server.close()
+
+
+_TRANSIENT_FAULTS = {"503": (503, {"error": "unavailable"}),
+                     "not-json": b"<html>busy</html>"}
+
+
+@pytest.mark.parametrize("fault", sorted(_TRANSIENT_FAULTS))
+@pytest.mark.parametrize("route", ["chat", "embeddings", "score", "detect"])
+def test_transient_fault_on_every_call_keeps_the_run_bytes(
+        unfaulted_remote_run, route, fault):
+    # the first attempt of every distinct payload on `route` fails, in each
+    # phase that calls it: set-up (the seed-corpus embeddings), baseline,
+    # injection and both iterations
+    server, tmp_path, unfaulted, unfaulted_requests = unfaulted_remote_run
+    _remote_routes(server)
+    answer = server.routes[f"/v1/{route}"]
+    refused: set[str] = set()
+    lock = threading.Lock()
+
+    def refuse_first(payload):
+        key = json.dumps(payload, sort_keys=True)
+        with lock:
+            first = key not in refused
+            refused.add(key)
+        return _TRANSIENT_FAULTS[fault] if first else answer(payload)
+
+    server.routes[f"/v1/{route}"] = refuse_first
+    config = _remote_config(tmp_path, server, f"{route}-{fault}", retries=1)
+    before = len(server.requests)
+    run_experiment(config)
+    assert refused
+    assert _run_dir_bytes(config) == unfaulted
+    # each refused payload was sent exactly once more
+    assert len(server.requests) - before == unfaulted_requests + len(refused)
+
+
 def test_pool_runs_judge_and_false_answer_calls(tmp_path, stub_server):
     # every answer holds its query's reference answer, so the judge (gen-a)
     # is asked about each one; judge and false-answer replies are slow
@@ -971,13 +1021,13 @@ def test_diversity_filter_mode_persists_conforming_contexts(tmp_path):
     config = _config(tmp_path, filter_mode="diversity", iterations=2)
     run_experiment(config)
     out = Path(config.output_dir)
-    from ragloop.corpus import ingest_seed_corpus, Document, add_documents
+    from ragloop.corpus import ingest_seed_corpus, add_documents
     from ragloop.metrics import self_bleu
     corpus = ingest_seed_corpus(config.seed_corpus)
     for sub in ["injection"] + [f"iterations/iter-{i:02d}" for i in range(3)]:
         path = out / sub / "additions.jsonl"
         if path.is_file():
-            docs = [Document.from_dict(d) for d in read_jsonl(path)]
+            docs = [doc_from_row(d) for d in read_jsonl(path)]
             corpus = add_documents(corpus, docs)
     for i in range(3):
         for ctx in read_jsonl(out / "iterations" / f"iter-{i:02d}" /
