@@ -84,28 +84,49 @@ class FilterResult:
         return [e.doc_id for e in self.entries]
 
 
-def source_filter(candidates: RankedList, detector,
-                  corpus: CorpusSnapshot) -> FilterResult:
+def label_documents(detector, doc_ids: list[str], corpus: CorpusSnapshot,
+                    labels: dict[str, bool]) -> None:
+    """Store the detector's label (True = generated) of each of `doc_ids`
+    that `labels` lacks, in one `classify` call in first-seen order. A
+    failed call stores nothing."""
+    new = [d for d in dict.fromkeys(doc_ids) if d not in labels]
+    if not new:
+        return
+    try:
+        generated = detector.classify([corpus.get_text(d) for d in new])
+    except RemoteServiceError as exc:
+        logger.warning("detector failed on %d documents (%s); queries that "
+                       "retrieve them fall back to unfiltered top-%d",
+                       len(new), exc, CONTEXT_SIZE)
+        return
+    labels.update(zip(new, generated))
+
+
+def source_filter(candidates: RankedList, detector, corpus: CorpusSnapshot,
+                  labels: dict[str, bool] | None = None) -> FilterResult:
     """Scan candidates in rank order and keep the first CONTEXT_SIZE
     documents the detector labels human.
 
-    If the whole candidate list yields fewer, all found are returned with
-    the shortfall flag. Detector failure falls back to the unfiltered top
+    `labels` holds labels from `label_documents`; without it the
+    candidates are labelled here. If the whole candidate list yields fewer,
+    all found are returned with the shortfall flag. A candidate left
+    unlabelled by a detector failure falls back to the unfiltered top
     CONTEXT_SIZE with a logged flag.
     """
     entries = candidates.entries
     if not entries:
         return FilterResult(entries=[], shortfall=True)
-    try:
-        generated = detector.classify([corpus.get_text(e.doc_id) for e in entries])
-    except RemoteServiceError as exc:
-        logger.warning("detector failed for query %r (%s); falling back to "
-                       "unfiltered top-%d", candidates.query_id, exc, CONTEXT_SIZE)
+    if labels is None:
+        labels = {}
+        label_documents(detector, [e.doc_id for e in entries], corpus, labels)
+    if any(e.doc_id not in labels for e in entries):
+        logger.warning("unlabelled candidates for query %r; falling back to "
+                       "unfiltered top-%d", candidates.query_id, CONTEXT_SIZE)
         return FilterResult(entries=list(entries[:CONTEXT_SIZE]),
                             fallback_unfiltered=True)
     kept: list[RankEntry] = []
-    for entry, is_generated in zip(entries, generated):
-        if is_generated:
+    for entry in entries:
+        if labels[entry.doc_id]:
             continue
         kept.append(entry)
         if len(kept) == CONTEXT_SIZE:

@@ -80,34 +80,42 @@ class RerankOutcome:
 
 
 def rerank(backend, query: str, candidates: RankedList, depth: int,
-           corpus: CorpusSnapshot,
-           failure_policy: str = FAILURE_ABORT) -> RerankOutcome:
+           corpus: CorpusSnapshot, failure_policy: str = FAILURE_ABORT,
+           scores: dict[str, float] | None = None) -> RerankOutcome:
     """Reorder the first `depth` candidates by backend score, descending.
 
     Each passage is read from `corpus`: its cached tokens for a backend
-    that `reads_tokens`, its text otherwise. Equal scores keep their
-    original relative order; candidates beyond `depth` are appended
-    untouched. Ranks are renumbered consecutively.
-    On remote failure the configured policy either re-raises or passes the
-    input through unchanged (flagged in the outcome).
+    that `reads_tokens`, its text otherwise. `scores` maps doc_id to the
+    backend's score for this query from earlier calls: only the head's
+    documents it lacks are sent to the backend, in head order, and their
+    scores are stored in it. Equal scores keep their original relative
+    order; candidates beyond `depth` are appended untouched. Ranks are
+    renumbered consecutively.
+    On remote failure nothing is stored, and the configured policy either
+    re-raises or passes the input through unchanged (flagged in the
+    outcome).
     """
     if depth < 1:
         raise ValueError("rerank depth must be >= 1")
     head = candidates.entries[:depth]
     tail = candidates.entries[depth:]
+    known = {} if scores is None else scores
+    missing = [e.doc_id for e in head if e.doc_id not in known]
     passage = corpus.tokens if backend.reads_tokens else corpus.get_text
-    passages = [passage(e.doc_id) for e in head]
     try:
-        scores = backend.score(query, passages)
+        fresh = backend.score(query, [passage(d) for d in missing]) \
+            if missing else []
     except RemoteServiceError:
         if failure_policy == FAILURE_PASS_THROUGH:
             logger.warning("rerank backend failed for query %r; passing "
                            "candidates through unranked", candidates.query_id)
             return RerankOutcome(ranked=candidates, passed_through=True)
         raise
-    order = sorted(range(len(head)), key=lambda i: (-scores[i], i))
+    known.update(zip(missing, fresh))
+    head_scores = [known[e.doc_id] for e in head]
+    order = sorted(range(len(head)), key=lambda i: (-head_scores[i], i))
     reordered = [head[i] for i in order] + tail
-    entries = [RankEntry(e.doc_id, (scores[order[pos]] if pos < len(head)
+    entries = [RankEntry(e.doc_id, (head_scores[order[pos]] if pos < len(head)
                                     else e.score), pos + 1)
                for pos, e in enumerate(reordered)]
     # scores for the untouched tail keep their retrieval values; the head

@@ -330,9 +330,8 @@ class VectorIndex(_DocIds):
         return [(self.doc_ids[i], float(sims[i])) for i in top]
 
 
-def search_dense(vindex: VectorIndex, query: str, k: int, embedder,
+def search_dense(vindex: VectorIndex, query_vec: np.ndarray, k: int,
                  query_id: str = "", iteration: int = 0) -> RankedList:
-    """Top-k by exact cosine similarity using the given embedding client."""
-    query_vec = embedder.embed([query])[0]
+    """Top-k by exact cosine similarity to a question's stored embedding."""
     return RankedList.from_ordered(query_id, iteration,
                                    vindex.search_vector(query_vec, k))

@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import random
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -31,7 +30,8 @@ from .generation import (CONTEXT_SIZE, WITH_CONTEXTS, ZERO_SHOT,
                          build_prompt, derive_seed, generate,
                          generate_false_answers, generate_mis_passage,
                          judge_support)
-from .filters import FilterResult, diversity_filter, source_filter
+from .filters import (FilterResult, diversity_filter, label_documents,
+                      source_filter)
 from .rerank import rerank
 from .retrieval import (InvertedIndex, RankedList, VectorIndex, search_bm25,
                         search_dense)
@@ -59,7 +59,9 @@ SUMMARY_COLUMNS = ("iteration", "acc_at_5", "acc_at_20", "em_mean",
 
 def _atomic_write(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
+    tmp = path.parent / f".tmp-{os.urandom(6).hex()}"
+    # created as open() creates files, so the umask alone sets the mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(data)
@@ -166,6 +168,11 @@ class ExperimentRunner:
         self.embedder = config.build_embedder() if config.uses_dense else None
         self.index = VectorIndex() if config.uses_dense else InvertedIndex()
         self._index_docs(list(self.corpus.iter_documents()))
+        # questions never change, so a dense run embeds them once, here
+        self.query_vecs = dict(zip(
+            [q.query_id for q in self.queries],
+            self.embedder.embed([q.question for q in self.queries]))) \
+            if config.uses_dense else {}
         self.rerank_backend = config.build_rerank_backend() if \
             config.uses_rerank else None
         self.detector = config.build_detector() if \
@@ -176,6 +183,11 @@ class ExperimentRunner:
         self.phrases = (postprocess.PhraseList.from_file(config.phrase_file)
                         if config.phrase_file else None)
         self.misinfo_specs: dict[str, MisinfoSpec] = {}
+        # documents never change after commit, so a service is asked about
+        # each once: a rerank score per (query, doc_id), a label per doc_id
+        self.rerank_scores: dict[str, dict[str, float]] = {
+            q.query_id: {} for q in self.queries}
+        self.labels: dict[str, bool] = {}
 
     # ---- shared helpers --------------------------------------------------
 
@@ -185,31 +197,34 @@ class ExperimentRunner:
     def _injection_dir(self) -> Path:
         return self.out_dir / "injection"
 
-    def _retrieve(self, query: QueryRecord, iteration: int) -> RankedList:
+    def _search(self, query: QueryRecord, iteration: int) -> RankedList:
         depth = self.config.retrieval_depth
         if self.config.uses_dense:
-            ranked = search_dense(self.index, query.question, depth,
-                                  self.embedder, query_id=query.query_id,
-                                  iteration=iteration)
-        else:
-            ranked = search_bm25(self.index, query.question, depth,
-                                 query_id=query.query_id, iteration=iteration)
-        if self.rerank_backend is not None:
-            outcome = rerank(self.rerank_backend, query.question, ranked,
-                             depth=self.config.rerank_depth,
-                             corpus=self.corpus,
-                             failure_policy=self.config.rerank_failure_policy)
-            ranked = outcome.ranked
-        return ranked
+            return search_dense(self.index, self.query_vecs[query.query_id],
+                                depth, query_id=query.query_id,
+                                iteration=iteration)
+        return search_bm25(self.index, query.question, depth,
+                           query_id=query.query_id, iteration=iteration)
 
-    def _select_contexts(self, ranked: RankedList) -> FilterResult:
+    def _select(self, item: tuple[QueryRecord, RankedList]
+                ) -> tuple[RankedList, FilterResult]:
+        """One query's reranked candidates and the contexts kept from them."""
+        query, ranked = item
+        if self.rerank_backend is not None:
+            ranked = rerank(self.rerank_backend, query.question, ranked,
+                            depth=self.config.rerank_depth, corpus=self.corpus,
+                            failure_policy=self.config.rerank_failure_policy,
+                            scores=self.rerank_scores[query.query_id]).ranked
         mode = self.config.filter_mode
         if mode == "source":
-            return source_filter(ranked, self.detector, self.corpus)
-        if mode == "diversity":
-            return diversity_filter(ranked, self.corpus,
+            kept = source_filter(ranked, self.detector, self.corpus,
+                                 labels=self.labels)
+        elif mode == "diversity":
+            kept = diversity_filter(ranked, self.corpus,
                                     threshold=self.config.diversity_threshold)
-        return FilterResult(entries=list(ranked.entries[:CONTEXT_SIZE]))
+        else:
+            kept = FilterResult(entries=list(ranked.entries[:CONTEXT_SIZE]))
+        return ranked, kept
 
     def _index_docs(self, docs: list[Document]) -> None:
         if self.config.uses_dense:
@@ -384,15 +399,19 @@ class ExperimentRunner:
                    em_prev: dict | None) -> tuple[IterationArtifacts,
                                                   list[Document]]:
         """One retrieve-filter-generate-grade pass; returns artifacts plus
-        the cleaned documents ready for commit (empty at baseline)."""
+        the cleaned documents ready for commit (empty at baseline).
 
-        def select(query: QueryRecord) -> tuple[RankedList, FilterResult]:
-            rl = self._retrieve(query, iteration)
-            return rl, self._select_contexts(rl)
-
+        Searches and the one detector request run on this thread, so that
+        every request payload is a function of the seed at any
+        `max_in_flight`; the pool runs each query's rerank requests."""
+        searched = [self._search(q, iteration) for q in self.queries]
+        if self.detector is not None:
+            label_documents(self.detector,
+                            [e.doc_id for rl in searched for e in rl.entries],
+                            self.corpus, self.labels)
         ranked, contexts, scans = {}, {}, {}
-        for query, (rl, kept) in zip(self.queries,
-                                     self._map(select, self.queries)):
+        for query, (rl, kept) in zip(self.queries, self._map(
+                self._select, list(zip(self.queries, searched)))):
             qid, answers = query.query_id, query.answers
             ranked[qid], contexts[qid] = rl, kept
             # the containment scans wait on no remote call: they stay off

@@ -6,7 +6,10 @@ from ragloop.errors import RemoteServiceError
 from ragloop.remote import Endpoint
 from ragloop.rerank import (FAILURE_ABORT, FAILURE_PASS_THROUGH,
                             LexicalOverlapBackend, RemoteScorerBackend, rerank)
-from ragloop.retrieval import RankedList
+from ragloop.config import load_query_set
+from ragloop.corpus import ingest_seed_corpus
+from ragloop.retrieval import InvertedIndex, RankedList, search_bm25
+from ragloop.synthdata import write_demo_dataset
 
 from conftest import human_doc, snapshot_of
 
@@ -172,3 +175,80 @@ def test_lexical_overlap_same_scores_from_tokens_and_text():
                  depth=4, corpus=corpus)
     assert [e.score for e in out.ranked.entries] == sorted(
         backend.score("capital of france", list(texts.values())), reverse=True)
+
+
+class _Recording(LexicalOverlapBackend):
+    """The lexical backend, recording every passage it is asked to score."""
+
+    def __init__(self):
+        self.seen = []
+
+    def score(self, query, passages):
+        self.seen.extend(passages)
+        return super().score(query, passages)
+
+
+def _recorded_searches(tmp_path, depth=60):
+    """A demo corpus and each of its questions' BM25 candidates."""
+    corpus_path, query_path = write_demo_dataset(tmp_path, num_docs=120,
+                                                 num_queries=6, seed=3)
+    corpus = ingest_seed_corpus(corpus_path)
+    index = InvertedIndex()
+    index.add(list(corpus.iter_documents()))
+    return corpus, [(q.question, search_bm25(index, q.question, depth,
+                                             query_id=q.query_id))
+                    for q in load_query_set(query_path)]
+
+
+def test_rerank_with_stored_scores_matches_a_fresh_rerank(tmp_path):
+    corpus, searches = _recorded_searches(tmp_path)
+    for question, candidates in searches:
+        fresh = rerank(LexicalOverlapBackend(), question, candidates,
+                       depth=40, corpus=corpus)
+        full: dict[str, float] = {}
+        assert rerank(LexicalOverlapBackend(), question, candidates, depth=40,
+                      corpus=corpus, scores=full) == fresh
+        head = candidates.doc_ids()[:40]
+        assert list(full) == head
+        half = {d: full[d] for d in head[::2]}
+        backend = _Recording()
+        assert rerank(backend, question, candidates, depth=40, corpus=corpus,
+                      scores=half) == fresh
+        # only the missing passages, in head order, and now all are stored
+        assert backend.seen == [corpus.tokens(d) for d in head[1::2]]
+        assert half == full
+        backend.seen.clear()
+        rerank(backend, question, candidates, depth=40, corpus=corpus,
+               scores=half)
+        assert backend.seen == []
+
+
+@pytest.mark.parametrize("policy", [FAILURE_PASS_THROUGH, FAILURE_ABORT])
+def test_failed_scoring_stores_nothing(tmp_path, stub_server, policy):
+    # the second batch of 32 fails after the first was answered
+    answered = {"n": 0}
+
+    def second_batch_down(payload):
+        answered["n"] += 1
+        if answered["n"] > 1:
+            return 500, {"error": "down"}
+        return {"scores": [0.5] * len(payload["passages"])}
+
+    stub_server.routes["/score"] = second_batch_down
+    backend = RemoteScorerBackend(Endpoint(stub_server.url("/score"), retries=0))
+    corpus, searches = _recorded_searches(tmp_path)
+    question, candidates = searches[0]
+    head = candidates.doc_ids()[:40]
+    stored = {d: 1.0 for d in head[:4]}
+    before = dict(stored)
+    if policy == FAILURE_ABORT:
+        with pytest.raises(RemoteServiceError):
+            rerank(backend, question, candidates, depth=40, corpus=corpus,
+                   failure_policy=policy, scores=stored)
+    else:
+        out = rerank(backend, question, candidates, depth=40, corpus=corpus,
+                     failure_policy=policy, scores=stored)
+        assert out.passed_through and out.ranked is candidates
+    assert stored == before
+    # 36 missing passages: one batch of 32 answered, the next refused
+    assert [len(p["passages"]) for _path, p in stub_server.requests] == [32, 4]

@@ -291,7 +291,8 @@ def test_search_dense_end_to_end_with_stub():
             human_doc("d3", "apple banana orange")]
     vindex = VectorIndex()
     vindex.add_documents(docs, embedder)
-    ranked = search_dense(vindex, "apple banana", 2, embedder, query_id="q")
+    ranked = search_dense(vindex, embedder.embed(["apple banana"])[0], 2,
+                          query_id="q")
     _assert_ranked(ranked)
     assert ranked.entries[0].doc_id == "d1"  # identical token bag
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -269,6 +271,22 @@ def test_baseline_smoke(tmp_path):
     # no index mutation at baseline
     assert len(runner.corpus) == 120  # the seed documents only
     assert len(artifacts.records) == 12 * 2
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_run_and_synth_files_take_the_umask_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        corpus, _queries = _dataset(tmp_path)
+        config = _config(tmp_path, iterations=1)
+        run_experiment(config)
+    finally:
+        os.umask(old)
+    want = 0o666 & ~umask
+    out = Path(config.output_dir)
+    for path in (corpus, out / "summary.tsv",
+                 out / "iterations" / "iter-01" / "ranked.jsonl"):
+        assert stat.S_IMODE(path.stat().st_mode) == want, path
 
 
 def test_missing_query_file_fails_validation(tmp_path):
@@ -703,6 +721,111 @@ def test_remote_runs_match_across_concurrency_caps(tmp_path, keepalive_server):
         assert len(gens) == 2 * 12
 
 
+def _phase_rows(out: Path, name: str) -> list[list[dict]]:
+    """Each phase's rows of one run file, baseline first."""
+    phases = sorted((out / "iterations").iterdir())
+    return [read_jsonl(phase / name) for phase in phases]
+
+
+def test_each_fact_is_asked_once_at_any_concurrency_cap(tmp_path, stub_server):
+    _remote_routes(stub_server)
+    runs, by_cap = [], {}
+    for cap in (1, 4):
+        before = len(stub_server.requests)
+        config = _remote_config(tmp_path, stub_server, f"cap-{cap}",
+                                max_in_flight=cap, rerank_depth=40)
+        run_experiment(config)
+        runs.append(config)
+        routes: dict[str, list[str]] = {}
+        for path, payload in stub_server.requests[before:]:
+            routes.setdefault(path, []).append(
+                json.dumps(payload, sort_keys=True))
+        by_cap[cap] = routes
+    assert _run_dir_bytes(runs[0]) == _run_dir_bytes(runs[1])
+    # embeddings and detector requests run on the calling thread, so their
+    # payloads come in one order; the pool may reorder score and chat ones
+    for path in ("/v1/embeddings", "/v1/detect"):
+        assert by_cap[1][path] == by_cap[4][path], path
+    for path in ("/v1/score", "/v1/chat"):
+        assert sorted(by_cap[1][path]) == sorted(by_cap[4][path]), path
+
+    out = Path(runs[0].output_dir)
+    ranked = _phase_rows(out, "ranked.jsonl")
+    commits = [read_jsonl(out / "injection" / "additions.jsonl")] + [
+        read_jsonl(out / "iterations" / f"iter-{i:02d}" / "additions.jsonl")
+        for i in range(1, runs[0].iterations + 1)]
+    labelled: set[str] = set()
+    scored: dict[str, set[str]] = {}
+    detect = score = 0
+    for rows in ranked:
+        candidates = {doc_id for row in rows for doc_id, _s, _r in row["entries"]}
+        detect += int(not candidates <= labelled)
+        labelled |= candidates
+        for row in rows:
+            head = {doc_id for doc_id, _s, _r in row["entries"][:40]}
+            seen = scored.setdefault(row["query_id"], set())
+            score += math.ceil(len(head - seen) / 32)
+            seen |= head
+    counts = {path: len(payloads) for path, payloads in by_cap[1].items()}
+    assert counts["/v1/embeddings"] == 2 + sum(1 for docs in commits if docs)
+    assert counts["/v1/detect"] == detect
+    assert counts["/v1/score"] == score
+    # a question's later phases score fewer pairs than its first
+    assert score < len(ranked) * runs[0].sample_size * 2
+
+
+def test_detector_outage_falls_back_only_where_a_label_is_missing(
+        tmp_path, stub_server):
+    # an injected answer carries its question's topic token, or for every
+    # third query a token no question holds: BM25 retrieves each only for
+    # its own query, so in iteration 1 some queries see a new document and
+    # the others only documents the baseline labelled
+    _remote_routes(stub_server)
+    chat = stub_server.routes["/v1/chat"]
+
+    def zero_shot(payload):
+        prompt = payload["messages"][0]["content"]
+        if "[Context 1]" in prompt:
+            return chat(payload)
+        topic = prompt.split("Question:")[-1].split("\n")[0].split()[-2]
+        token = topic if int(topic.lstrip("abcdefghijklmnopqrstuvwxyz")) % 3 \
+            else "zzunseen"
+        text = f"This {_MARKER} note concerns {token}."
+        return {"choices": [{"message": {"content": text}}]}
+
+    stub_server.routes["/v1/chat"] = zero_shot
+    detect = stub_server.routes["/v1/detect"]
+    calls = {"n": 0}
+
+    def down_in_iteration_one(payload):
+        calls["n"] += 1
+        return (503, {"error": "down"}) if calls["n"] == 2 else detect(payload)
+
+    runs = {}
+    for name in ("unfaulted", "faulted"):
+        if name == "faulted":
+            stub_server.routes["/v1/detect"] = down_in_iteration_one
+        runs[name] = _remote_config(tmp_path, stub_server, name,
+                                    pipeline="bm25", retries=0)
+        run_experiment(runs[name])
+    assert calls["n"] == 3
+    out, ref = (Path(runs[k].output_dir) for k in ("faulted", "unfaulted"))
+    baseline, first = _phase_rows(out, "ranked.jsonl")[:2]
+    labelled = {doc_id for row in baseline for doc_id, _s, _r in row["entries"]}
+    unlabelled = {row["query_id"] for row in first
+                  if any(d not in labelled for d, _s, _r in row["entries"])}
+    contexts = _phase_rows(out, "contexts.jsonl")[1]
+    reference = _phase_rows(ref, "contexts.jsonl")[1]
+    assert unlabelled and len(unlabelled) < len(contexts)
+    for row, ref_row in zip(contexts, reference):
+        assert row["fallback_unfiltered"] == (row["query_id"] in unlabelled)
+        if row["query_id"] not in unlabelled:
+            assert row == ref_row
+    # iteration 2 asks again about the documents iteration 1 left unlabelled
+    assert not any(row["fallback_unfiltered"]
+                   for row in _phase_rows(out, "contexts.jsonl")[2])
+
+
 @pytest.fixture(scope="module")
 def unfaulted_remote_run(tmp_path_factory):
     """A keep-alive stub server, a data directory, and the bytes and the
@@ -807,26 +930,78 @@ def test_pool_runs_judge_and_false_answer_calls(tmp_path, stub_server):
     assert _run_dir_bytes(configs[0]) == _run_dir_bytes(configs[1])
 
 
-@pytest.mark.parametrize("max_in_flight", [1, 4])
-def test_failed_pooled_retrieval_aborts_the_run(tmp_path, stub_server,
-                                                max_in_flight):
-    _remote_routes(stub_server)
-    embed = stub_server.routes["/v1/embeddings"]
+def _embeddings_down_from(server, call: int) -> None:
+    """Answer the embeddings route normally until its `call`-th request,
+    then with 503 for good."""
+    embed = server.routes["/v1/embeddings"]
     calls = {"n": 0}
 
-    def down_after_setup(payload):
+    def down(payload):
         calls["n"] += 1
-        return embed(payload) if calls["n"] == 1 else (503, {"error": "down"})
+        return embed(payload) if calls["n"] < call else (503, {"error": "down"})
 
-    stub_server.routes["/v1/embeddings"] = down_after_setup
+    server.routes["/v1/embeddings"] = down
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_question_embeddings_outage_stops_the_run_at_set_up(
+        tmp_path, stub_server, max_in_flight):
+    # the seed corpus is embedded first, then every question in one request
+    _remote_routes(stub_server)
+    _embeddings_down_from(stub_server, 2)
     config = _remote_config(tmp_path, stub_server, "run", retries=1,
                             max_in_flight=max_in_flight)
     with pytest.raises(RemoteServiceError, match="failed after 2 attempts"):
         run_experiment(config)
-    manifest = json.loads((Path(config.output_dir) / "manifest.json").read_text())
+    embedded = [payload["input"] for path, payload in stub_server.requests
+                if path == "/v1/embeddings"]
+    questions = [q.question for q in sample_queries(
+        load_query_set(config.query_set), config.sample_size, config.seed)]
+    # the question request and its one retry
+    assert embedded[1:] == [questions, questions]
+    assert not (Path(config.output_dir) / "iterations").exists()
+    assert not (Path(config.output_dir) / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_injection_commit_embeddings_outage_marks_the_run_failed(
+        tmp_path, stub_server, max_in_flight):
+    # set-up makes two embeddings requests; the third commits the injection
+    _remote_routes(stub_server)
+    _embeddings_down_from(stub_server, 3)
+    config = _remote_config(tmp_path, stub_server, "run", retries=1,
+                            max_in_flight=max_in_flight)
+    with pytest.raises(RemoteServiceError, match="failed after 2 attempts"):
+        run_experiment(config)
+    out = Path(config.output_dir)
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "RemoteServiceError" in manifest["error"]
-    assert not (Path(config.output_dir) / "iterations").exists()
+    assert (out / "iterations" / "iter-00" / "metrics.json").is_file()
+    assert (out / "injection" / "meta.json").is_file()
+    assert not (out / "iterations" / "iter-01").exists()
+
+
+def test_endpoint_models_and_keys_reach_their_services(tmp_path, stub_server,
+                                                       monkeypatch):
+    _remote_routes(stub_server)
+    keys = {"EMBED_KEY": "k-embed", "SCORE_KEY": "k-score",
+            "DETECT_KEY": "k-detect"}
+    for name, value in keys.items():
+        monkeypatch.setenv(name, value)
+    config = _remote_config(
+        tmp_path, stub_server, "run",
+        embedding_model="embed-1", embedding_api_key_env="EMBED_KEY",
+        rerank_model="score-1", rerank_api_key_env="SCORE_KEY",
+        detector_model="detect-1", detector_api_key_env="DETECT_KEY")
+    config.build_embedder().embed(["a text"])
+    config.build_rerank_backend().score("a query", ["a passage"])
+    config.build_detector().classify(["a text"])
+    sent = [(path, payload["model"], auth) for (path, payload), auth
+            in zip(stub_server.requests, stub_server.auth_headers)]
+    assert sent == [("/v1/embeddings", "embed-1", "Bearer k-embed"),
+                    ("/v1/score", "score-1", "Bearer k-score"),
+                    ("/v1/detect", "detect-1", "Bearer k-detect")]
 
 
 @pytest.mark.parametrize("policy", ["pass-through-unranked", "abort-iteration"])
