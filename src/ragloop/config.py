@@ -21,7 +21,7 @@ from .generation import (CONTEXT_SIZE, DEFAULT_STYLE_MARKER,
                          DEFAULT_TEMPERATURE, RemoteChatGenerator,
                          SyntheticGenerator)
 from .metrics import answer_needle
-from .remote import Endpoint, session
+from .remote import Endpoint, url_problem
 from .rerank import (FAILURE_ABORT, FAILURE_PASS_THROUGH,
                      LexicalOverlapBackend, RemoteScorerBackend)
 from .retrieval import HashedEmbedder, RemoteEmbeddingClient
@@ -311,7 +311,8 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
             or config.rerank_endpoint or config.detector_endpoint):
         # load the HTTP stack now rather than inside the first request,
         # which a runner's construction sends; offline runs never load it
-        session()
+        import http.client  # noqa: F401
+        import ssl  # noqa: F401
     return config
 
 
@@ -370,6 +371,9 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             problems.append(f"generator {g.name!r} has unknown kind {g.kind!r}")
         if g.kind == "remote" and not g.endpoint:
             problems.append(f"remote generator {g.name!r} needs an endpoint")
+        elif g.kind == "remote" and (problem := url_problem(g.endpoint)):
+            problems.append(f"remote generator {g.name!r} endpoint "
+                            f"{g.endpoint!r} {problem}")
         if g.kind == "synthetic" and not 0.0 <= g.accuracy <= 1.0:
             problems.append(f"generator {g.name!r} accuracy must be in [0, 1]")
     if config.schedule:
@@ -387,6 +391,11 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     if config.uses_dense and not config.offline and not config.embedding_endpoint:
         problems.append("dense pipeline needs an embedding_endpoint unless "
                         "running offline with the hashed stub")
+    for field_name in ("embedding_endpoint", "rerank_endpoint",
+                       "detector_endpoint"):
+        url = getattr(config, field_name)
+        if url and (problem := url_problem(url)):
+            problems.append(f"{field_name} {url!r} {problem}")
     if config.offline:
         remote = [g.name for g in config.generators if g.kind == "remote"]
         if remote:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ragloop import remote
 from ragloop.corpus import CorpusSnapshot, Document, HUMAN_SOURCE, SourceTag
 
 
@@ -35,6 +36,9 @@ def write_jsonl_file(path: Path, records: list[dict]) -> Path:
 
 
 class _StubHTTPServer(ThreadingHTTPServer):
+    # room for many clients connecting at once (socketserver's default is 5)
+    request_queue_size = 64
+
     def handle_error(self, request, client_address):
         # a client that timed out and hung up breaks the pipe of its reply
         if not isinstance(sys.exc_info()[1], ConnectionError):
@@ -50,13 +54,15 @@ class StubServer:
     the raw body. Every request is recorded for assertions and every
     accepted connection is counted. With `keep_alive` the server speaks
     HTTP/1.1 and keeps a connection open between requests; otherwise it
-    speaks HTTP/1.0 and closes each connection after one reply.
+    speaks HTTP/1.0 and closes each connection after one reply. With a
+    server-side `tls` context it speaks HTTPS.
     """
 
-    def __init__(self, keep_alive: bool = False):
+    def __init__(self, keep_alive: bool = False, tls=None):
         self.routes = {}
         self.requests: list[tuple[str, dict]] = []
         self.auth_headers: list[str | None] = []
+        self.request_headers: list[dict[str, str]] = []
         self.connections = 0
         self._sockets: list[socket.socket] = []
         self._lock = threading.Lock()
@@ -81,6 +87,7 @@ class StubServer:
                 with server._lock:
                     server.requests.append((self.path, payload))
                     server.auth_headers.append(self.headers.get("Authorization"))
+                    server.request_headers.append(dict(self.headers))
                 handler = server.routes.get(self.path)
                 if handler is None:
                     self._reply(404, b"", {})
@@ -107,6 +114,10 @@ class StubServer:
                 pass
 
         self._httpd = _StubHTTPServer(("127.0.0.1", 0), Handler)
+        if tls is not None:
+            self._httpd.socket = tls.wrap_socket(self._httpd.socket,
+                                                 server_side=True)
+        self.scheme = "http" if tls is None else "https"
         # a short poll interval lets close() return quickly
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         kwargs={"poll_interval": 0.05},
@@ -116,22 +127,26 @@ class StubServer:
     @property
     def base_url(self) -> str:
         host, port = self._httpd.server_address
-        return f"http://{host}:{port}"
+        return f"{self.scheme}://{host}:{port}"
 
     def url(self, path: str) -> str:
         return self.base_url + path
 
-    def close(self):
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        # wake handler threads still waiting on a kept-alive connection
+    def drop_connections(self):
+        """Hang up every accepted connection, as a server does with idle
+        kept-alive ones; this wakes handler threads waiting on them."""
         with self._lock:
-            sockets = list(self._sockets)
+            sockets, self._sockets = self._sockets, []
         for sock in sockets:
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+
+    def close(self):
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self.drop_connections()
         self._thread.join(timeout=5)
 
 
@@ -147,3 +162,5 @@ def keepalive_server():
     server = StubServer(keep_alive=True)
     yield server
     server.close()
+    # the process-wide pool keeps this server's connections; close them
+    remote._POOL.close()

@@ -1,6 +1,7 @@
-"""`requests` is loaded only by runs that name a remote endpoint: importing
-ragloop and running offline never load the HTTP stack, and the one shared
-session is built once however many threads ask for it first."""
+"""The HTTP stack is loaded only by runs that name a remote endpoint:
+importing ragloop and running offline load neither `requests` nor the
+standard library's `http.client` and `ssl`. Requests from every thread go
+through one process-wide pool of kept-alive connections."""
 
 from __future__ import annotations
 
@@ -9,10 +10,7 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
-
-import requests
 
 from ragloop import remote
 from ragloop.synthdata import write_demo_dataset
@@ -28,7 +26,8 @@ from ragloop.runner import run_experiment
 config = parse_config_mapping(json.loads(sys.argv[1]))
 if sys.argv[2] == "run":
     run_experiment(config)
-print(json.dumps(sorted(m for m in ("requests", "urllib3") if m in sys.modules)))
+print(json.dumps(sorted(m for m in ("requests", "urllib3", "http.client", "ssl",
+                                    "socket") if m in sys.modules)))
 """
 
 
@@ -67,40 +66,37 @@ def test_config_naming_a_remote_endpoint_loads_it_when_parsed(tmp_path):
             {"generators": [{"name": "gen-r", "kind": "remote",
                              "endpoint": url}]}):
         raw = _raw(tmp_path, offline=False, **overrides)
-        assert _loaded_http_modules(raw, "parse") == ["requests", "urllib3"], \
-            overrides
+        assert _loaded_http_modules(raw, "parse") == [
+            "http.client", "socket", "ssl"], overrides
 
 
 def test_remote_requests_still_resolves():
+    import requests
     assert remote.requests is requests
 
 
-def test_racing_first_callers_share_one_session(monkeypatch):
-    built = []
-    real = requests.Session
+def _post(server, n: int = 1):
+    endpoint = remote.Endpoint(server.url("/v1/echo"), retries=0)
+    return [remote.post_json_with_retries(endpoint, {"n": i}) for i in range(n)]
 
-    def slow_session():
-        time.sleep(0.01)  # widen the window between check and publish
-        built.append(real())
-        return built[-1]
 
-    monkeypatch.setattr(requests, "Session", slow_session)
-    monkeypatch.setattr(remote, "_SESSION", None)
+def test_racing_callers_share_the_pool(keepalive_server):
+    keepalive_server.routes["/v1/echo"] = lambda payload: payload
     threads_n = 16
     barrier = threading.Barrier(threads_n)
     got = []
     lock = threading.Lock()
 
-    def first_use():
+    def post_once():
         barrier.wait(timeout=10)
-        s = remote.session()
+        reply = _post(keepalive_server)
         with lock:
-            got.append(s)
+            got.extend(reply)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=first_use) for _ in range(threads_n)]
+        threads = [threading.Thread(target=post_once) for _ in range(threads_n)]
         for t in threads:
             t.start()
         for t in threads:
@@ -108,7 +104,24 @@ def test_racing_first_callers_share_one_session(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(built) == 1 and len(got) == threads_n
-    assert all(s is built[0] for s in got)
-    assert built[0].trust_env is False
-    built[0].close()
+    assert got == [{"n": 0}] * threads_n
+    opened = keepalive_server.connections
+    assert 1 <= opened <= threads_n
+    # every connection went back to the pool: later calls open none
+    assert _post(keepalive_server, threads_n) == [{"n": i} for i in range(threads_n)]
+    assert keepalive_server.connections == opened
+    assert len(keepalive_server.requests) == 2 * threads_n
+
+
+def test_connection_closed_while_idle_is_replaced_at_once(keepalive_server,
+                                                          monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(remote.time, "sleep", sleeps.append)
+    keepalive_server.routes["/v1/echo"] = lambda payload: payload
+    assert _post(keepalive_server) == [{"n": 0}]
+    keepalive_server.drop_connections()
+    # retries=0: the resend on a fresh connection spends no attempt
+    assert _post(keepalive_server) == [{"n": 0}]
+    assert sleeps == []
+    assert keepalive_server.connections == 2
+    assert len(keepalive_server.requests) == 2

@@ -186,6 +186,27 @@ def test_validation_offline_forbids_remote(tmp_path):
     assert any("offline mode forbids remote generators" in p for p in problems)
 
 
+@pytest.mark.parametrize("url, problem", [
+    ("localhost:8000/v1/embeddings", "is not an http:// or https:// URL"),
+    ("ftp://127.0.0.1:9/v1", "is not an http:// or https:// URL"),
+    ("http:///v1", "names no host"),
+    ("http://127.0.0.1:99999/v1", "has an invalid port")])
+def test_validation_rejects_endpoints_that_cannot_be_sent_to(tmp_path, url,
+                                                             problem):
+    config = _config(tmp_path, offline=False, embedding_endpoint=url,
+                     rerank_endpoint=url, detector_endpoint=url,
+                     generators=[{"name": "gen-r", "kind": "remote",
+                                  "endpoint": url}])
+    problems = validate_config(config)
+    for field in ("embedding_endpoint", "rerank_endpoint", "detector_endpoint",
+                  "remote generator 'gen-r' endpoint"):
+        assert f"{field} {url!r} {problem}" in problems
+    assert validate_config(_config(
+        tmp_path, offline=False, embedding_endpoint="https://emb.example/v1",
+        generators=[{"name": "gen-r", "kind": "remote",
+                     "endpoint": "http://127.0.0.1:9/v1/chat"}])) == []
+
+
 def test_validation_schedule_coverage(tmp_path):
     config = _config(
         tmp_path, iterations=4,
