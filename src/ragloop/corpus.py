@@ -87,9 +87,11 @@ class CorpusSnapshot:
     `_tokens` maps a document's id to `tokenize(text)` as a tuple,
     filled on first read. Each token is interned through `_vocab`, so equal
     tokens across documents are one str object. Nothing else derived from
-    the text is kept: n-gram counts live in one `metrics._WindowCounts` per
-    Self-BLEU or filter call and go with it, because keeping them for every
-    document in a top-5 list costs more memory than the tokens themselves.
+    the text is kept: n-gram counts are built per call, by
+    `metrics._clipped_hits` for Self-BLEU and in one `metrics._WindowCounts`
+    per diversity-filter call, and go with it, because keeping them for
+    every document in a top-5 list costs more memory than the tokens
+    themselves.
     """
 
     __slots__ = ("_docs", "_index_of", "_tokens", "_vocab")

@@ -144,14 +144,14 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
     candidate. Stops at the first conforming set, or flags exhaustion.
 
     The window's n-gram counts sit in one `metrics._WindowCounts` table per
-    call, the table `self_bleu` scores its sets on, one row of counts per
-    slot; a joining document takes the leaving one's slot, so a swap
-    rewrites only those two documents' counts. Each round makes one pass
+    call, one row of counts per slot; a joining document takes the leaving
+    one's slot, so a swap rewrites only those two documents' counts. Each round makes one pass
     over the window's n-grams that clips every document against the rest,
     and against the rest without each other document in turn: the set's
     score and all its leave-one-out scores. Clipped counts are integers
-    and every score goes through the same `_bleu_from_clipped`, so each is
-    bit-equal to `self_bleu` of that subset, which the filter never calls.
+    and every score goes through the same `_bleu_from_clipped` as
+    `self_bleu`'s, so each is bit-equal to `self_bleu` of that subset,
+    which the filter never calls.
     """
     entries = candidates.entries
     if len(entries) < CONTEXT_SIZE:

@@ -5,6 +5,7 @@ correlation."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -16,6 +17,13 @@ from .corpus import CorpusSnapshot, HUMAN
 from .retrieval import RankedList, tokenize
 
 _ARTICLES = {"a", "an", "the"}
+
+# `_clipped_hits` takes sets in blocks of about this many tokens plus
+# members, so that its temporaries stay bounded; a larger set is a block
+# of its own.
+_BLOCK_WEIGHT = 1 << 12
+# Packed n-gram codes stay below this, so int64 arithmetic never wraps.
+_CODE_LIMIT = 1 << 62
 
 
 def normalize_answer(text: str) -> list[str]:
@@ -139,12 +147,13 @@ def _bleu_from_clipped(clipped: Iterable[int], c: int,
 class _WindowCounts:
     """Each 1..max_n-gram's count in every slot of a set of documents.
 
-    The one place clipped n-gram counts are computed: `self_bleu` fills a
-    table with its set, and the diversity filter keeps one as its working
-    window. `counts[slot, g]` is the count of n-gram g in the document in
-    that slot. N-grams are numbered from 1 as first met in the table;
-    number 0 counts nothing. A joining document takes the slot of the one
-    leaving, so a swap rewrites only those two documents' counts.
+    The diversity filter's working window. Its rounds swap one document at
+    a time and score every leave-one-out subset, which `_clipped_hits`,
+    built for many fixed sets at once, does not serve; the two share only
+    `_bleu_from_clipped`. `counts[slot, g]` is the count of n-gram g in the
+    document in that slot. N-grams are numbered from 1 as first met in the
+    table; number 0 counts nothing. A joining document takes the slot of
+    the one leaving, so a swap rewrites only those two documents' counts.
 
     `own[slot]` lists the slot document's distinct n-grams, order by
     order, each order after a column for n-gram 0: their numbers and their
@@ -229,7 +238,100 @@ class _WindowCounts:
         return sum(scores) / len(scores)
 
 
-def self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> float:
+def _block_hits(block: list[Sequence[Sequence]], max_n: int) -> list[list]:
+    """`_clipped_hits` of one block of sets."""
+    docs = [doc for set_docs in block for doc in set_docs]
+    members = len(docs)
+    flat = list(itertools.chain.from_iterable(docs))
+    hits = np.zeros((members, max_n), dtype=np.int64)
+    if flat:
+        # token ids local to the block: equal tokens, equal ids
+        vocab = dict(zip(dict.fromkeys(flat), itertools.count()))
+        ids = np.fromiter(map(vocab.__getitem__, flat), np.int64, len(flat))
+        lengths = np.fromiter(map(len, docs), np.int64, members)
+        member = np.repeat(np.arange(members), lengths)
+        # how many tokens each position has left in its document, itself
+        # included: a position starts an n-gram iff at least n
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(flat))
+        set_lengths = [sum(map(len, set_docs)) for set_docs in block]
+        width = len(vocab)
+        # key[p] numbers (set, n-gram at p) below `bound`, and order n + 1
+        # extends it by the next token's id. When those numbers could pass
+        # the code limit, each order's keys are renumbered densely, below
+        # the number of positions
+        dense = members * sum(len(block) * width ** n
+                              for n in range(1, max_n + 1)) >= _CODE_LIMIT
+        key = np.repeat(np.arange(len(block)) * width, set_lengths) + ids
+        bound = len(block) * width
+        codes = []
+        offsets = [0]
+        for n in range(1, max_n + 1):
+            if n > 1:
+                key = key[:-1] * width + ids[n - 1:]
+                bound *= width
+            if dense:
+                distinct, key = np.unique(key, return_inverse=True)
+                bound = len(distinct)
+            starts = left[:len(key)] >= n
+            # one code per occurrence: (order, set, n-gram), then member
+            codes.append((key[starts] + offsets[-1]) * members
+                         + member[:len(key)][starts])
+            offsets.append(offsets[-1] + bound)
+        codes = np.sort(np.concatenate(codes))
+        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        counts = np.diff(np.append(first, codes.size))
+        gram, owner = np.divmod(codes[first], members)
+        # per n-gram: the largest count, and the largest among the others
+        # for the member holding it (the largest again on a tie)
+        fresh = np.concatenate(([True], gram[1:] != gram[:-1]))
+        heads = np.flatnonzero(fresh)
+        group = np.cumsum(fresh) - 1
+        top = np.maximum.reduceat(counts, heads)
+        at_top = counts == top[group]
+        runner_up = np.where(
+            np.add.reduceat(at_top.astype(np.int64), heads) > 1, top,
+            np.maximum.reduceat(np.where(at_top, 0, counts), heads))
+        clipped = np.where(at_top, runner_up[group], counts)
+        # each order's n-grams are one stretch of the sorted runs; the sums
+        # of integers stay exact in float64
+        ends = np.searchsorted(gram, offsets)
+        for n in range(max_n):
+            stretch = slice(ends[n], ends[n + 1])
+            hits[:, n] = np.bincount(owner[stretch], clipped[stretch], members)
+    rows = iter(hits.tolist())
+    return [list(itertools.islice(rows, len(set_docs))) for set_docs in block]
+
+
+def _clipped_hits(sets: Sequence[Sequence[Sequence]], max_n: int) -> list[list]:
+    """For each member of each set of token sequences, and each order n =
+    1..max_n: the sum over the member's distinct n-grams of min(its count,
+    the largest count among the set's other members).
+
+    Every occurrence of every n-gram is packed into one int64 code, ordered
+    by (order, set, n-gram) and then member, and one sort of a block's
+    codes turns runs into counts. Sets go in blocks of about
+    `_BLOCK_WEIGHT` tokens and members, so that the temporaries stay
+    bounded. Where plain numbering could pass `_CODE_LIMIT`, n-grams are
+    renumbered densely at every order, so codes stay below max_n x tokens
+    x members and keys below tokens squared: within int64 for any block
+    that fits in memory.
+    """
+    out: list[list] = []
+    block: list[Sequence[Sequence]] = []
+    weight = 0
+    for docs in sets:
+        block.append(docs)
+        weight += len(docs) + sum(map(len, docs))
+        if weight >= _BLOCK_WEIGHT:
+            out += _block_hits(block, max_n)
+            block, weight = [], 0
+    if block:
+        out += _block_hits(block, max_n)
+    return out
+
+
+def self_bleu(docs: Sequence[str | Sequence[str]] | Mapping[object, Sequence],
+              max_n: int = 3) -> float | dict:
     """Mean BLEU of each document against the rest of the set.
 
     High values mean the set is homogeneous. Uses uniform 1..max_n-gram
@@ -237,17 +339,27 @@ def self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> float:
     identical sets exactly 1.
 
     A document is a text or a token sequence (such as the corpus's cached
-    tokens). The set fills one `_WindowCounts` table, which clips each
-    document's n-gram counts against the largest count among the others;
-    the table is dropped afterwards, since keeping n-gram counts for every
-    document that reaches a top-5 list would cost several times the memory
-    of the cached tokens they are built from.
+    tokens). Given a mapping of key -> set of documents, scores every set
+    in one pass and returns key -> score. Clipped counts come from
+    `_clipped_hits` and are dropped afterwards, since keeping n-gram counts
+    for every document that reaches a top-5 list would cost several times
+    the memory of the cached tokens they are built from.
     """
-    if len(docs) < 2:
-        raise ValueError("self_bleu needs at least 2 documents")
-    table = _WindowCounts([tokenize(d) if isinstance(d, str) else d
-                           for d in docs], max_n)
-    return table.score(range(len(docs)), table.clipped())
+    sets = list(docs.values()) if isinstance(docs, Mapping) else [docs]
+    token_sets = []
+    for members in sets:
+        if len(members) < 2:
+            raise ValueError("self_bleu needs at least 2 documents")
+        token_sets.append([tokenize(d) if isinstance(d, str) else d
+                           for d in members])
+    means = []
+    for tokens, hits in zip(token_sets, _clipped_hits(token_sets, max_n)):
+        lengths = [len(t) for t in tokens]
+        scores = [_bleu_from_clipped(hits[i], lengths[i],
+                                     lengths[:i] + lengths[i + 1:], max_n)
+                  for i in range(len(tokens))]
+        means.append(sum(scores) / len(scores))
+    return dict(zip(docs, means)) if isinstance(docs, Mapping) else means[0]
 
 
 def context_right_num(top5: RankedList, golds: Sequence[str],

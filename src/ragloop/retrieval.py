@@ -14,7 +14,7 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,14 +30,17 @@ BM25_B = 0.75
 # Unicode word characters minus underscore; punctuation splits tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# A BM25 block's dense term-weight rows hold at most this many floats (1 MB),
+# whatever the number of questions searched at once.
+_BLOCK_ELEMENTS = 1 << 17
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens; punctuation dropped, no stemming or stopwords."""
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass
-class RankEntry:
+class RankEntry(NamedTuple):
     doc_id: str
     score: float
     rank: int
@@ -122,9 +125,10 @@ class _DocIds:
 class InvertedIndex(_DocIds):
     """BM25 inverted index supporting single-writer incremental additions.
 
-    Built by `add`, read by `search`: `add` sets everything a search reads
-    (postings, length norms, doc_id ranks) and `search` changes nothing, so
-    searches may run concurrently with each other, never with an `add`.
+    Built by `add`, read by `search_all`: `add` sets everything a search
+    reads (postings, length norms, doc_id ranks) and a search changes
+    nothing, so searches may run concurrently with each other, never with
+    an `add`.
     Documents are indexed by insertion order; the API speaks doc_id strings.
 
     `postings` maps each term to two parallel arrays: the int64 indexes of
@@ -175,28 +179,65 @@ class InvertedIndex(_DocIds):
         Zero-scoring documents are never returned, so fewer than k results
         are possible.
         """
+        return self.search_all([query], k)[0]
+
+    def search_all(self, queries: Sequence[str],
+                   k: int) -> list[list[tuple[str, float]]]:
+        """`search` of each query, in order, scored in blocks of queries.
+
+        A block computes each of its distinct terms' weights once, as a
+        dense row over all documents, and forms each query's scores by
+        adding those rows in the query's term order, a repeated term as
+        often as it occurs. Adding 0.0 is exact, so every score equals the
+        sum of that term's weights taken in that order. A block's rows hold
+        at most `_BLOCK_ELEMENTS` floats, unless one query alone needs more.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        terms = tokenize(query)
-        if not terms or not self.doc_count:
-            return []
-        scores = np.zeros(self.doc_count, dtype=np.float64)
-        matched = np.zeros(self.doc_count, dtype=bool)
-        for term in terms:
-            if term in self.postings:
-                idxs, tfs = self.postings[term]
-                scores[idxs] += self.idf(term) * tfs / (tfs + self._norm[idxs])
-                matched[idxs] = True
-        hit_idxs = np.nonzero(matched)[0]
-        if hit_idxs.size == 0:
-            return []
-        top = _top_k(hit_idxs, scores[hit_idxs], self._id_rank, k)
-        return [(self.doc_ids[i], float(scores[i])) for i in top]
+        # a term that indexes nothing adds nothing
+        terms = [[t for t in tokenize(q) if t in self.postings] for q in queries]
+        found: list[list[tuple[str, float]]] = []
+        rows: dict[str, int] = {}
+        block: list[list[str]] = []
+        for query_terms in terms:
+            fresh = set(query_terms).difference(rows)
+            if block and (len(rows) + len(fresh)) * self.doc_count > _BLOCK_ELEMENTS:
+                found += self._score_block(block, rows, k)
+                rows, block = {}, []
+            for term in query_terms:
+                rows.setdefault(term, len(rows))
+            block.append(query_terms)
+        if block:
+            found += self._score_block(block, rows, k)
+        return found
+
+    def _score_block(self, block: list[list[str]], rows: dict[str, int],
+                     k: int) -> list[list[tuple[str, float]]]:
+        weights = np.zeros((len(rows), self.doc_count), dtype=np.float64)
+        for term, row in rows.items():
+            idxs, tfs = self.postings[term]
+            weights[row, idxs] = self.idf(term) * tfs / (tfs + self._norm[idxs])
+        found = []
+        for query_terms in block:
+            if not query_terms:
+                found.append([])
+                continue
+            scores = np.zeros(self.doc_count, dtype=np.float64)
+            for term in query_terms:
+                scores += weights[rows[term]]
+            hits = np.flatnonzero(scores)
+            top = _top_k(hits, scores[hits], self._id_rank, k)
+            found.append(list(zip(map(self.doc_ids.__getitem__, top.tolist()),
+                                  scores[top].tolist())))
+        return found
 
 
-def search_bm25(index: InvertedIndex, query: str, k: int,
-                query_id: str = "", iteration: int = 0) -> RankedList:
-    return RankedList.from_ordered(query_id, iteration, index.search(query, k))
+def search_bm25(index: InvertedIndex, questions: Mapping[str, str], k: int,
+                iteration: int = 0) -> dict[str, RankedList]:
+    """Each question's top-k BM25 list, keyed and ordered as `questions`."""
+    return {query_id: RankedList.from_ordered(query_id, iteration, pairs)
+            for query_id, pairs in zip(questions, index.search_all(
+                list(questions.values()), k))}
 
 
 class HashedEmbedder:
@@ -330,8 +371,12 @@ class VectorIndex(_DocIds):
         return [(self.doc_ids[i], float(sims[i])) for i in top]
 
 
-def search_dense(vindex: VectorIndex, query_vec: np.ndarray, k: int,
-                 query_id: str = "", iteration: int = 0) -> RankedList:
-    """Top-k by exact cosine similarity to a question's stored embedding."""
-    return RankedList.from_ordered(query_id, iteration,
-                                   vindex.search_vector(query_vec, k))
+def search_dense(vindex: VectorIndex, query_vecs: Mapping[str, np.ndarray],
+                 k: int, iteration: int = 0) -> dict[str, RankedList]:
+    """Each question's top-k by exact cosine similarity to its stored
+    embedding, keyed and ordered as `query_vecs`. Each question is one
+    matrix-vector product: a matrix product over all of them would round
+    differently."""
+    return {query_id: RankedList.from_ordered(
+                query_id, iteration, vindex.search_vector(vec, k))
+            for query_id, vec in query_vecs.items()}

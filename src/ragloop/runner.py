@@ -197,14 +197,15 @@ class ExperimentRunner:
     def _injection_dir(self) -> Path:
         return self.out_dir / "injection"
 
-    def _search(self, query: QueryRecord, iteration: int) -> RankedList:
+    def _search(self, iteration: int) -> dict[str, RankedList]:
+        """Every query's candidates, in query order, from one search call."""
         depth = self.config.retrieval_depth
         if self.config.uses_dense:
-            return search_dense(self.index, self.query_vecs[query.query_id],
-                                depth, query_id=query.query_id,
+            return search_dense(self.index, self.query_vecs, depth,
                                 iteration=iteration)
-        return search_bm25(self.index, query.question, depth,
-                           query_id=query.query_id, iteration=iteration)
+        return search_bm25(self.index,
+                           {q.query_id: q.question for q in self.queries},
+                           depth, iteration=iteration)
 
     def _select(self, item: tuple[QueryRecord, RankedList]
                 ) -> tuple[RankedList, FilterResult]:
@@ -328,12 +329,9 @@ class ExperimentRunner:
         dom = M.dominance_p(ranked_lists, self.corpus, k=5)
         shares = M.source_share(ranked_lists, self.corpus, top_n=50)
 
-        bleu_values = []
-        for rl in ranked_lists:
-            top = rl.top(5)
-            if len(top) >= 2:
-                bleu_values.append(M.self_bleu(
-                    [self.corpus.tokens(e.doc_id) for e in top]))
+        bleu_values = list(M.self_bleu({
+            rl.query_id: [self.corpus.tokens(e.doc_id) for e in rl.top(5)]
+            for rl in ranked_lists if len(rl.entries) >= 2}).values())
         bleu = sum(bleu_values) / len(bleu_values) if bleu_values else 0.0
 
         by_gen: dict[str, list[int]] = {}
@@ -404,14 +402,14 @@ class ExperimentRunner:
         Searches and the one detector request run on this thread, so that
         every request payload is a function of the seed at any
         `max_in_flight`; the pool runs each query's rerank requests."""
-        searched = [self._search(q, iteration) for q in self.queries]
+        searched = self._search(iteration)
         if self.detector is not None:
-            label_documents(self.detector,
-                            [e.doc_id for rl in searched for e in rl.entries],
+            label_documents(self.detector, [e.doc_id for rl in searched.values()
+                                            for e in rl.entries],
                             self.corpus, self.labels)
         ranked, contexts, scans = {}, {}, {}
         for query, (rl, kept) in zip(self.queries, self._map(
-                self._select, list(zip(self.queries, searched)))):
+                self._select, list(zip(self.queries, searched.values())))):
             qid, answers = query.query_id, query.answers
             ranked[qid], contexts[qid] = rl, kept
             # the containment scans wait on no remote call: they stay off
@@ -456,7 +454,7 @@ class ExperimentRunner:
         # `_run_phase` fills `ranked` and `contexts` in query order
         write_jsonl(phase_dir / RANKED_FILE, [
             {"query_id": rl.query_id, "iteration": rl.iteration,
-             "entries": [[e.doc_id, e.score, e.rank] for e in rl.entries]}
+             "entries": rl.entries}
             for rl in artifacts.ranked.values()])
         write_jsonl(phase_dir / CONTEXTS_FILE, [
             {"query_id": qid, "doc_ids": kept.doc_ids(),

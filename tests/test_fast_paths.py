@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 import pytest
 
-from ragloop import filters, metrics
+from ragloop import filters, metrics, retrieval
 from ragloop.corpus import CorpusSnapshot, HUMAN
 from ragloop.filters import DIVERSITY_THRESHOLD, FilterResult
 from ragloop.generation import (ANSWER_CHECK, CONTEXT_SIZE, FALSE_ANSWER_COUNT,
@@ -38,7 +38,7 @@ from ragloop.config import parse_config_mapping
 from ragloop.postprocess import PhraseList, clean, default_phrase_list
 from ragloop.retrieval import (BM25_B, BM25_K1, InvertedIndex, RankEntry,
                                RankedList, VectorIndex, _id_rank, _top_k,
-                               tokenize)
+                               search_bm25, tokenize)
 from ragloop.runner import ExperimentRunner
 from ragloop.synthdata import write_demo_dataset
 
@@ -501,6 +501,85 @@ def test_self_bleu_bit_equal_on_recorded_top5_sets(recorded):
     assert compared >= 20
 
 
+def _maxima_scores(sets: Mapping, max_n: int = 3) -> dict:
+    return {key: maxima_self_bleu(docs, max_n) for key, docs in sets.items()}
+
+
+def test_self_bleu_of_a_mapping_scores_sets_of_two_to_six_members():
+    rng = random.Random(31)
+    vocab = [f"w{i}" for i in range(15)]
+    sets = {f"s{i:03d}": [[rng.choice(vocab) for _ in range(rng.randint(0, 20))]
+                          for _ in range(rng.randint(2, 6))]
+            for i in range(150)}
+    assert {len(docs) for docs in sets.values()} == {2, 3, 4, 5, 6}
+    for max_n in (1, 2, 3, 4):
+        got = metrics.self_bleu(sets, max_n)
+        assert list(got) == list(sets)
+        assert got == _maxima_scores(sets, max_n)
+
+
+def test_self_bleu_of_sets_without_tokens_is_zero():
+    # punctuation-only texts tokenize to nothing
+    sets = {"punct": ["?!", "...", "--"], "empty": ["", ""],
+            "one-empty": ["...", "a b c", "a b c"], "one-token": ["a", "a"]}
+    want = {key: self_bleu(docs) for key, docs in sets.items()}
+    assert want["punct"] == want["empty"] == 0.0
+    assert metrics.self_bleu(sets) == want
+    assert metrics.self_bleu({"a": ["?!", ""], "b": ["...", "--", ""]}) == \
+        {"a": 0.0, "b": 0.0}
+    assert metrics.self_bleu(["?!", "..."]) == 0.0
+
+
+def test_self_bleu_of_more_sets_than_one_block():
+    rng = random.Random(32)
+    vocab = [f"w{i}" for i in range(40)]
+    sets = {i: [[rng.choice(vocab) for _ in range(rng.randint(0, 60))]
+                for _ in range(rng.randint(2, 6))] for i in range(300)}
+    # one set larger than a block on its own, between the others
+    sets[150] = [[rng.choice(vocab) for _ in range(metrics._BLOCK_WEIGHT)]
+                 for _ in range(3)]
+    weight = sum(len(docs) + sum(map(len, docs)) for docs in sets.values())
+    assert weight > 5 * metrics._BLOCK_WEIGHT
+    for max_n in (3, 4):
+        assert metrics.self_bleu(sets, max_n) == _maxima_scores(sets, max_n)
+
+
+def test_self_bleu_with_a_vocabulary_too_large_to_pack_four_grams():
+    # 40k distinct tokens: 4-gram keys numbered id0 * V**3 + ... + id3 would
+    # not fit int64 beside the set and the member, so they must be renumbered
+    rng = random.Random(33)
+    vocab = [f"t{i}" for i in range(40_000)]
+    assert len(vocab) ** 4 * 4 > 2 ** 63
+    phrases = [vocab[i:i + 6] for i in range(0, 600, 6)]
+
+    def doc(fresh: list[str]) -> list[str]:
+        out = []
+        for start in range(0, len(fresh), 50):
+            out += fresh[start:start + 50] + rng.choice(phrases)
+        return out
+
+    big = [doc(vocab[q * 10_000:(q + 1) * 10_000]) for q in range(4)]
+    assert len({t for d in big for t in d}) == len(vocab)
+    sets = {"small": [["t1", "t2", "t3", "t4"], ["t1", "t2", "t3", "t5"]],
+            "big": big, "mixed": [big[0][:300], big[1][:300], big[0][100:500]]}
+    assert metrics.self_bleu(sets, 4) == _maxima_scores(sets, 4)
+    assert metrics.self_bleu(sets, 4)["big"] > 0.0
+
+
+def test_self_bleu_scores_each_recorded_phase_in_one_call(recorded_run):
+    runner, phases = recorded_run
+    corpus = runner.corpus
+    for art in phases:
+        sets = {qid: [corpus.tokens(e.doc_id) for e in rl.top(5)]
+                for qid, rl in art.ranked.items() if len(rl.entries) >= 2}
+        assert len(sets) == len(art.ranked)
+        want = {qid: self_bleu([" ".join(tokens) for tokens in docs])
+                for qid, docs in sets.items()}
+        got = metrics.self_bleu(sets)
+        assert got == want
+        assert sum(got.values()) / len(got) == art.metrics.self_bleu_top5
+
+
 # ---- diversity filter ----------------------------------------------------------
 
 def _same_filter_result(candidates, corpus, threshold=DIVERSITY_THRESHOLD,
@@ -889,6 +968,65 @@ def test_bm25_search_matches_full_sort_on_recorded_index(recorded_run):
         for k in (1, 5, 12, 100, runner.index.doc_count):
             assert _bits(runner.index.search(query.question, k)) == \
                 _bits(oracle_bm25_search(runner.index, query.question, k))
+
+
+def _all_bits(found: list[list[tuple[str, float]]]) -> list:
+    return [_bits(pairs) for pairs in found]
+
+
+def test_bm25_search_all_matches_full_sort_on_recorded_questions(recorded_run):
+    runner, _ = recorded_run
+    index = runner.index
+    questions = [q.question for q in runner.queries]
+    for k in (1, 5, 12, index.doc_count + 5):
+        want = [_bits(oracle_bm25_search(index, q, k)) for q in questions]
+        assert _all_bits(index.search_all(questions, k)) == want
+        ranked = search_bm25(index, {q.query_id: q.question
+                                     for q in runner.queries}, k, iteration=3)
+        assert list(ranked) == [q.query_id for q in runner.queries]
+        assert [_bits([(e.doc_id, e.score) for e in rl.entries])
+                for rl in ranked.values()] == want
+        assert all(rl.iteration == 3 and rl.query_id == qid
+                   for qid, rl in ranked.items())
+
+
+def test_bm25_search_all_matches_full_sort_across_blocks_after_adds():
+    rng = random.Random(41)
+    words = [f"w{i}" for i in range(1500)] + ["the", "of"]
+    queries = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 6)))
+               for _ in range(250)]
+    # repeated terms, terms no document holds, and no terms at all
+    queries += ["the the of", "w1 absent w1", "absent words only", "", "..."]
+    index = InvertedIndex()
+    for batch in range(3):
+        index.add([human_doc(f"b{batch}-{i:03d}", " ".join(
+            rng.choice(words) for _ in range(rng.randint(1, 40))))
+            for i in range(300)])
+        # the queries' weight rows span more than one block
+        indexed = {t for q in queries for t in tokenize(q) if t in index.postings}
+        assert len(indexed) * index.doc_count > retrieval._BLOCK_ELEMENTS
+        for k in (1, 7, index.doc_count + 1):
+            assert _all_bits(index.search_all(queries, k)) == \
+                [_bits(oracle_bm25_search(index, q, k)) for q in queries]
+    assert index.search_all(["absent words only", "", "..."], 3) == [[], [], []]
+
+
+def test_bm25_search_all_returns_fewer_than_k_hits():
+    index = InvertedIndex()
+    index.add([human_doc("d1", "apple pie"), human_doc("d2", "apple apple"),
+               human_doc("d3", "banana")])
+    found = index.search_all(["apple", "banana apple", "pear"], 10)
+    assert [len(pairs) for pairs in found] == [2, 3, 0]
+    assert _all_bits(found) == [_bits(oracle_bm25_search(index, q, 10))
+                                for q in ("apple", "banana apple", "pear")]
+
+
+def test_bm25_search_all_on_an_empty_index():
+    index = InvertedIndex()
+    assert index.search_all(["river", "the the", ""], 3) == [[], [], []]
+    assert index.search_all([], 3) == []
+    assert search_bm25(index, {"a": "river", "b": ""}, 3) == {
+        "a": RankedList("a", 0, []), "b": RankedList("b", 0, [])}
 
 
 def test_vector_search_matches_full_sort_with_signed_zeros_and_ties():

@@ -195,9 +195,9 @@ def _recorded_searches(tmp_path, depth=60):
     corpus = ingest_seed_corpus(corpus_path)
     index = InvertedIndex()
     index.add(list(corpus.iter_documents()))
-    return corpus, [(q.question, search_bm25(index, q.question, depth,
-                                             query_id=q.query_id))
-                    for q in load_query_set(query_path)]
+    queries = load_query_set(query_path)
+    found = search_bm25(index, {q.query_id: q.question for q in queries}, depth)
+    return corpus, [(q.question, found[q.query_id]) for q in queries]
 
 
 def test_rerank_with_stored_scores_matches_a_fresh_rerank(tmp_path):

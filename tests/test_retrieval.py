@@ -52,7 +52,7 @@ def test_bm25_absent_term_gives_empty_list():
 
 def test_bm25_empty_query_gives_empty_list():
     index = _two_doc_index()
-    ranked = search_bm25(index, "...", 5)
+    ranked = search_bm25(index, {"q": "..."}, 5)["q"]
     assert ranked.entries == []
 
 
@@ -81,7 +81,7 @@ def test_bm25_rankedlist_invariants():
     docs = [human_doc(f"d{i}", "apple " * (i + 1) + "banana") for i in range(8)]
     index = InvertedIndex()
     index.add(docs)
-    ranked = search_bm25(index, "apple banana", 5, query_id="q", iteration=0)
+    ranked = search_bm25(index, {"q": "apple banana"}, 5, iteration=0)["q"]
     _assert_ranked(ranked)
     assert len(ranked.entries) == 5
     assert [e.rank for e in ranked.entries] == [1, 2, 3, 4, 5]
@@ -291,8 +291,8 @@ def test_search_dense_end_to_end_with_stub():
             human_doc("d3", "apple banana orange")]
     vindex = VectorIndex()
     vindex.add_documents(docs, embedder)
-    ranked = search_dense(vindex, embedder.embed(["apple banana"])[0], 2,
-                          query_id="q")
+    ranked = search_dense(vindex, {"q": embedder.embed(["apple banana"])[0]},
+                          2)["q"]
     _assert_ranked(ranked)
     assert ranked.entries[0].doc_id == "d1"  # identical token bag
 
