@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .corpus import record_id
+from .corpus import read_records, record_id
 from .errors import ConfigValidationError, CorpusFormatError
 from .filters import DIVERSITY_THRESHOLD, MarkerStubDetector, RemoteDetectorClient
 from .generation import (CONTEXT_SIZE, DEFAULT_STYLE_MARKER,
@@ -28,6 +28,7 @@ from .retrieval import HashedEmbedder, RemoteEmbeddingClient
 
 PIPELINES = ("bm25", "dense", "bm25+rerank", "dense+rerank")
 FILTER_MODES = ("none", "source", "diversity")
+ENDPOINT_FIELDS = ("embedding_endpoint", "rerank_endpoint", "detector_endpoint")
 # annotation of a scalar config field -> the Python types it accepts
 _SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
@@ -47,40 +48,30 @@ def load_query_set(path: str | Path) -> list[QueryRecord]:
     path = Path(path)
     records: list[QueryRecord] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON record: {exc.msg}",
-                                        path=str(path), line_no=line_no) from exc
-            try:
-                qid, question, answers = (record_id(rec["query_id"]), rec["question"],
-                                          rec["answers"])
-            except (KeyError, TypeError) as exc:
-                raise CorpusFormatError(
-                    "query record needs query_id, question, answers",
-                    path=str(path), line_no=line_no) from exc
-            answers = [record_id(a) for a in answers] if isinstance(answers, list) else None
-            if qid is None or not isinstance(question, str) or answers is None or None in answers:
-                raise CorpusFormatError("question must be a string and answers a list; query_id "
-                                        "and each answer a string or an integer",
-                                        path=str(path), line_no=line_no)
-            if not answers:
-                raise CorpusFormatError(f"query {qid!r} has no answers",
-                                        path=str(path), line_no=line_no)
-            for answer in answers:
-                if not answer_needle(answer):
-                    raise CorpusFormatError(f"answer {answer!r} normalizes to nothing, so no "
-                                            "text can match it", path=str(path), line_no=line_no)
-            if qid in seen:
-                raise CorpusFormatError(f"duplicate query_id {qid!r}",
-                                        path=str(path), line_no=line_no)
-            seen.add(qid)
-            records.append(QueryRecord(query_id=qid, question=question,
-                                       answers=answers))
+    for line_no, rec in read_records(path):
+        try:
+            qid, question, answers = (record_id(rec["query_id"]), rec["question"],
+                                      rec["answers"])
+        except (KeyError, TypeError) as exc:
+            raise CorpusFormatError("query record needs query_id, question, answers",
+                                    path=str(path), line_no=line_no) from exc
+        answers = [record_id(a) for a in answers] if isinstance(answers, list) else None
+        if qid is None or not isinstance(question, str) or answers is None or None in answers:
+            raise CorpusFormatError("question must be a string and answers a list; query_id "
+                                    "and each answer a string or an integer",
+                                    path=str(path), line_no=line_no)
+        if not answers:
+            raise CorpusFormatError(f"query {qid!r} has no answers",
+                                    path=str(path), line_no=line_no)
+        for answer in answers:
+            if not answer_needle(answer):
+                raise CorpusFormatError(f"answer {answer!r} normalizes to nothing, so no "
+                                        "text can match it", path=str(path), line_no=line_no)
+        if qid in seen:
+            raise CorpusFormatError(f"duplicate query_id {qid!r}",
+                                    path=str(path), line_no=line_no)
+        seen.add(qid)
+        records.append(QueryRecord(query_id=qid, question=question, answers=answers))
     if not records:
         raise CorpusFormatError("empty query set", path=str(path))
     return records
@@ -214,14 +205,7 @@ class ExperimentConfig:
             return RemoteDetectorClient(self._endpoint(
                 self.detector_endpoint, self.detector_model,
                 self.detector_api_key_env))
-        marker = self.generators[0].marker if self.generators else DEFAULT_STYLE_MARKER
-        return MarkerStubDetector(marker=marker)
-
-    def build_judge(self):
-        # validate_config rejects a judge name that is not configured
-        name = self.judge_generator or self.generators[0].name
-        return self.build_generator(next(g for g in self.generators
-                                         if g.name == name))
+        return MarkerStubDetector([g.marker for g in self.generators])
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -307,8 +291,8 @@ def parse_config_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentC
     config.query_set = _resolve(config.query_set)
     config.output_dir = _resolve(config.output_dir)
     config.phrase_file = _resolve(config.phrase_file)
-    if (any(g.kind == "remote" for g in gen_specs) or config.embedding_endpoint
-            or config.rerank_endpoint or config.detector_endpoint):
+    if any(g.kind == "remote" for g in gen_specs) or any(
+            getattr(config, name) for name in ENDPOINT_FIELDS):
         # load the HTTP stack now rather than inside the first request,
         # which a runner's construction sends; offline runs never load it
         import http.client  # noqa: F401
@@ -391,19 +375,15 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     if config.uses_dense and not config.offline and not config.embedding_endpoint:
         problems.append("dense pipeline needs an embedding_endpoint unless "
                         "running offline with the hashed stub")
-    for field_name in ("embedding_endpoint", "rerank_endpoint",
-                       "detector_endpoint"):
+    remote = [g.name for g in config.generators if g.kind == "remote"]
+    if config.offline and remote:
+        problems.append(f"offline mode forbids remote generators: {remote}")
+    for field_name in ENDPOINT_FIELDS:
         url = getattr(config, field_name)
         if url and (problem := url_problem(url)):
             problems.append(f"{field_name} {url!r} {problem}")
-    if config.offline:
-        remote = [g.name for g in config.generators if g.kind == "remote"]
-        if remote:
-            problems.append(f"offline mode forbids remote generators: {remote}")
-        for field_name in ("embedding_endpoint", "rerank_endpoint",
-                           "detector_endpoint"):
-            if getattr(config, field_name):
-                problems.append(f"offline mode forbids {field_name}")
+        if url and config.offline:
+            problems.append(f"offline mode forbids {field_name}")
     if config.phrase_file and not Path(config.phrase_file).is_file():
         problems.append(f"phrase file not found: {config.phrase_file!r}")
     if not 0.0 < config.max_failure_fraction <= 1.0:

@@ -81,7 +81,8 @@ def generated_doc_id(generator_name: str, iteration: int, query_id: str) -> str:
 
 
 class CorpusSnapshot:
-    """Append-only store of the run's documents, in commit order.
+    """Append-only store of the run's documents, in commit order; `extend`
+    is the one way in, for the seed corpus and for every commit.
 
     Documents never change after commit, so their tokens are derived once:
     `_tokens` maps a document's id to `tokenize(text)` as a tuple,
@@ -101,11 +102,19 @@ class CorpusSnapshot:
         self._index_of: dict[str, int] = {}
         self._tokens: dict[str, tuple[str, ...]] = {}
         self._vocab: dict[str, str] = {}
-        for doc in docs:
-            if doc.doc_id in self._index_of:
+        self.extend(docs)
+
+    def extend(self, docs: Iterable[Document]) -> None:
+        """Append `docs` in order. An id already present or repeated within
+        `docs` is rejected before the first append, so a rejected batch
+        changes nothing."""
+        docs = list(docs)
+        index_of: dict[str, int] = {}
+        for pos, doc in enumerate(docs, start=len(self._docs)):
+            if doc.doc_id in self._index_of or index_of.setdefault(doc.doc_id, pos) != pos:
                 raise DuplicateDocumentError(doc.doc_id)
-            self._index_of[doc.doc_id] = len(self._docs)
-            self._docs.append(doc)
+        self._index_of.update(index_of)
+        self._docs += docs
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -147,6 +156,21 @@ def record_id(value) -> str | None:
     return str(value)
 
 
+def read_records(path: Path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) of each non-blank line of a JSON-lines
+    file. A line that is not JSON raises CorpusFormatError at its number."""
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"invalid JSON record: {exc.msg}",
+                                        path=str(path), line_no=line_no) from exc
+            yield line_no, value
+
+
 def ingest_seed_corpus(path: str | Path) -> CorpusSnapshot:
     """Load the seed corpus from a line-delimited record file.
 
@@ -156,52 +180,36 @@ def ingest_seed_corpus(path: str | Path) -> CorpusSnapshot:
     path = Path(path)
     docs: list[Document] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON record: {exc.msg}",
-                                        path=str(path), line_no=line_no) from exc
-            if not isinstance(rec, dict) or "doc_id" not in rec or "text" not in rec:
-                raise CorpusFormatError("record must carry doc_id and text",
-                                        path=str(path), line_no=line_no)
-            doc_id, text, title = record_id(rec["doc_id"]), rec["text"], rec.get("title")
-            if doc_id is None or not isinstance(text, str) or \
-                    not isinstance(title, (str, type(None))):
-                raise CorpusFormatError("text must be a string, and title a string or "
-                                        "absent; doc_id a string or an integer",
-                                        path=str(path), line_no=line_no)
-            if doc_id in seen:
-                raise DuplicateDocumentError(doc_id, line_no=line_no)
-            seen.add(doc_id)
-            if title:
-                text = f"{title}{TITLE_TEXT_SEPARATOR}{text}"
-            try:
-                docs.append(Document(doc_id=doc_id, text=text, source=HUMAN_SOURCE))
-            except ValueError as exc:
-                raise CorpusFormatError(str(exc), path=str(path),
-                                        line_no=line_no) from exc
+    for line_no, rec in read_records(path):
+        if not isinstance(rec, dict) or "doc_id" not in rec or "text" not in rec:
+            raise CorpusFormatError("record must carry doc_id and text",
+                                    path=str(path), line_no=line_no)
+        doc_id, text, title = record_id(rec["doc_id"]), rec["text"], rec.get("title")
+        if doc_id is None or not isinstance(text, str) or \
+                not isinstance(title, (str, type(None))):
+            raise CorpusFormatError("text must be a string, and title a string or "
+                                    "absent; doc_id a string or an integer",
+                                    path=str(path), line_no=line_no)
+        if doc_id in seen:
+            raise DuplicateDocumentError(doc_id, line_no=line_no)
+        seen.add(doc_id)
+        if title:
+            text = f"{title}{TITLE_TEXT_SEPARATOR}{text}"
+        try:
+            docs.append(Document(doc_id=doc_id, text=text, source=HUMAN_SOURCE))
+        except ValueError as exc:
+            raise CorpusFormatError(str(exc), path=str(path), line_no=line_no) from exc
     if not docs:
         raise CorpusFormatError("empty seed corpus", path=str(path))
     return CorpusSnapshot(docs)
 
 
 def add_documents(corpus: CorpusSnapshot, docs: list[Document]) -> CorpusSnapshot:
-    """Append `docs` to the corpus in place and return it. An id already
-    present, an id repeated within `docs` or mixed iteration_added is
-    rejected before the first append, so a rejected batch changes nothing."""
-    fresh: set[str] = set()
-    for doc in docs:
-        if doc.doc_id in corpus or doc.doc_id in fresh:
-            raise DuplicateDocumentError(doc.doc_id)
-        fresh.add(doc.doc_id)
+    """Append one commit's `docs` to the corpus in place and return it.
+    Mixed iteration_added is rejected before the first append, as
+    `CorpusSnapshot.extend` rejects an id already present or repeated."""
     iterations = {d.iteration_added for d in docs}
     if len(iterations) > 1:
         raise ValueError(f"documents in one commit must share iteration_added, got {sorted(iterations)}")
-    for doc in docs:
-        corpus._index_of[doc.doc_id] = len(corpus._docs)
-        corpus._docs.append(doc)
+    corpus.extend(docs)
     return corpus

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 from .corpus import CorpusSnapshot
 from .errors import RemoteServiceError
@@ -27,14 +28,14 @@ DIVERSITY_THRESHOLD = 0.4
 
 class MarkerStubDetector:
     """Offline classifier: a document is generated iff it carries the
-    synthetic style marker."""
+    style marker of any of the run's generators."""
 
-    def __init__(self, marker: str = DEFAULT_STYLE_MARKER):
-        self.marker = marker.lower()
+    def __init__(self, markers: Sequence[str] = (DEFAULT_STYLE_MARKER,)):
+        self.markers = list(dict.fromkeys(m.lower() for m in markers))
 
     def classify(self, texts: list[str]) -> list[bool]:
         """True = generated, False = human."""
-        return [self.marker in t.lower() for t in texts]
+        return [any(m in text for m in self.markers) for text in map(str.lower, texts)]
 
 
 class RemoteDetectorClient:
@@ -102,23 +103,17 @@ def label_documents(detector, doc_ids: list[str], corpus: CorpusSnapshot,
     labels.update(zip(new, generated))
 
 
-def source_filter(candidates: RankedList, detector, corpus: CorpusSnapshot,
-                  labels: dict[str, bool] | None = None) -> FilterResult:
+def source_filter(candidates: RankedList, labels: dict[str, bool]) -> FilterResult:
     """Scan candidates in rank order and keep the first CONTEXT_SIZE
-    documents the detector labels human.
+    documents labelled human in `labels`, which `label_documents` fills.
 
-    `labels` holds labels from `label_documents`; without it the
-    candidates are labelled here. If the whole candidate list yields fewer,
-    all found are returned with the shortfall flag. A candidate left
-    unlabelled by a detector failure falls back to the unfiltered top
-    CONTEXT_SIZE with a logged flag.
+    If the whole candidate list yields fewer, all found are returned with
+    the shortfall flag. A candidate left unlabelled by a detector failure
+    falls back to the unfiltered top CONTEXT_SIZE with a logged flag.
     """
     entries = candidates.entries
     if not entries:
         return FilterResult(entries=[], shortfall=True)
-    if labels is None:
-        labels = {}
-        label_documents(detector, [e.doc_id for e in entries], corpus, labels)
     if any(e.doc_id not in labels for e in entries):
         logger.warning("unlabelled candidates for query %r; falling back to "
                        "unfiltered top-%d", candidates.query_id, CONTEXT_SIZE)
@@ -143,12 +138,11 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
     removal helps most (ties drop the worst-ranked), and pull in the next
     candidate. Stops at the first conforming set, or flags exhaustion.
 
-    The window's n-gram counts sit in one `metrics._WindowCounts` table per
-    call, one row of counts per slot; a joining document takes the leaving
-    one's slot, so a swap rewrites only those two documents' counts. Each round makes one pass
-    over the window's n-grams that clips every document against the rest,
-    and against the rest without each other document in turn: the set's
-    score and all its leave-one-out scores. Clipped counts are integers
+    The window is one `metrics._WindowCounts` table per call, which keeps
+    the working set's order and n-gram counts; a swap rewrites only the
+    leaving and joining documents' counts. Each round's `scores()` makes
+    one pass that clips every document against the rest, and against the
+    rest without each other document in turn. Clipped counts are integers
     and every score goes through the same `_bleu_from_clipped` as
     `self_bleu`'s, so each is bit-equal to `self_bleu` of that subset,
     which the filter never calls.
@@ -158,32 +152,19 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
         return FilterResult(entries=list(entries), shortfall=True)
     working = list(entries[:CONTEXT_SIZE])
     window = _WindowCounts([corpus.tokens(e.doc_id) for e in working])
-    slot_of = list(range(CONTEXT_SIZE))  # working[pos] sits in slot_of[pos]
-    next_idx = CONTEXT_SIZE
     removals = 0
-    clipped = window.clipped()
-    while window.score(slot_of, clipped) > threshold:
-        if next_idx >= len(entries):
+    while True:
+        score, left_out = window.scores()
+        if score <= threshold:
+            return FilterResult(entries=working, removals=removals)
+        if CONTEXT_SIZE + removals >= len(entries):
             return FilterResult(entries=working, exhausted=True,
                                 removals=removals)
-        best_drop = None
-        best_score = None
-        for pos, slot in enumerate(slot_of):
-            score = window.score(slot_of[:pos] + slot_of[pos + 1:], clipped,
-                                 left_out=slot)
-            # ties prefer dropping the worst original rank
-            if (best_score is None or score < best_score
-                    or (score == best_score
-                        and working[pos].rank > working[best_drop].rank)):
-                best_score = score
-                best_drop = pos
-        working.pop(best_drop)
-        slot = slot_of.pop(best_drop)
-        entry = entries[next_idx]
+        # ties prefer dropping the worst original rank
+        drop = min(range(CONTEXT_SIZE),
+                   key=lambda pos: (left_out[pos], -working[pos].rank))
+        entry = entries[CONTEXT_SIZE + removals]
+        working.pop(drop)
         working.append(entry)
-        slot_of.append(slot)
-        window.place(slot, corpus.tokens(entry.doc_id))
-        clipped = window.clipped()
-        next_idx += 1
+        window.replace(drop, corpus.tokens(entry.doc_id))
         removals += 1
-    return FilterResult(entries=working, removals=removals)

@@ -145,15 +145,17 @@ def _bleu_from_clipped(clipped: Iterable[int], c: int,
 
 
 class _WindowCounts:
-    """Each 1..max_n-gram's count in every slot of a set of documents.
+    """Each 1..max_n-gram's count in every slot of an ordered set of documents.
 
     The diversity filter's working window. Its rounds swap one document at
     a time and score every leave-one-out subset, which `_clipped_hits`,
     built for many fixed sets at once, does not serve; the two share only
     `_bleu_from_clipped`. `counts[slot, g]` is the count of n-gram g in the
     document in that slot. N-grams are numbered from 1 as first met in the
-    table; number 0 counts nothing. A joining document takes the slot of
-    the one leaving, so a swap rewrites only those two documents' counts.
+    table; number 0 counts nothing. `order[pos]` is the slot of the
+    document at position pos of the set. A joining document goes last in
+    the order and takes the slot of the one leaving, so a swap rewrites
+    only those two documents' counts.
 
     `own[slot]` lists the slot document's distinct n-grams, order by
     order, each order after a column for n-gram 0: their numbers and their
@@ -170,8 +172,16 @@ class _WindowCounts:
         self.lengths = [0] * self.size
         self.own = [np.zeros((2, 0), dtype=np.int64)] * self.size
         self.starts = [[]] * self.size
+        self.order = list(range(self.size))
         for slot, tokens in enumerate(docs_tokens):
             self.place(slot, tokens)
+
+    def replace(self, pos: int, tokens: Sequence[str]) -> None:
+        """Drop the document at position `pos`; the document of `tokens`
+        joins last, in the slot the dropped one leaves."""
+        slot = self.order.pop(pos)
+        self.order.append(slot)
+        self.place(slot, tokens)
 
     def place(self, slot: int, tokens: Sequence[str]) -> None:
         """Put the document of `tokens` in `slot`, in place of the one there."""
@@ -226,16 +236,20 @@ class _WindowCounts:
         return sums.reshape(self.size, self.size, self.max_n).transpose(
             1, 0, 2).tolist()
 
-    def score(self, members: Sequence[int], clipped: list,
-              left_out: int | None = None) -> float:
-        """Self-BLEU of the documents in slots `members`, in that order,
-        with slot `left_out` (if any) already out of the window."""
-        lengths = self.lengths
-        scores = [_bleu_from_clipped(
-            clipped[i][i if left_out is None else left_out], lengths[i],
-            [lengths[k] for k in members if k != i], self.max_n)
-            for i in members]
-        return sum(scores) / len(scores)
+    def scores(self) -> tuple[float, list[float]]:
+        """The Self-BLEU of the set, and of the set without each position
+        in turn, each summed in position order: bit-equal to `self_bleu`
+        of those documents."""
+        clipped, lengths, order = self.clipped(), self.lengths, self.order
+        means = []
+        for out in [None, *order]:
+            members = [k for k in order if k != out]
+            bleus = [_bleu_from_clipped(
+                clipped[i][i if out is None else out], lengths[i],
+                [lengths[k] for k in members if k != i], self.max_n)
+                for i in members]
+            means.append(sum(bleus) / len(bleus))
+        return means[0], means[1:]
 
 
 def _block_hits(block: list[Sequence[Sequence]], max_n: int) -> list[list]:

@@ -177,9 +177,11 @@ class ExperimentRunner:
             config.uses_rerank else None
         self.detector = config.build_detector() if \
             config.filter_mode == "source" else None
-        self.judge = config.build_judge() if config.grade_with_judge else None
         self.generators = {g.name: config.build_generator(g)
                            for g in config.generators}
+        # validate_config rejects a judge name that is not configured
+        judge = config.judge_generator or config.generators[0].name
+        self.judge = self.generators[judge] if config.grade_with_judge else None
         self.phrases = (postprocess.PhraseList.from_file(config.phrase_file)
                         if config.phrase_file else None)
         self.misinfo_specs: dict[str, MisinfoSpec] = {}
@@ -218,8 +220,7 @@ class ExperimentRunner:
                             scores=self.rerank_scores[query.query_id]).ranked
         mode = self.config.filter_mode
         if mode == "source":
-            kept = source_filter(ranked, self.detector, self.corpus,
-                                 labels=self.labels)
+            kept = source_filter(ranked, self.labels)
         elif mode == "diversity":
             kept = diversity_filter(ranked, self.corpus,
                                     threshold=self.config.diversity_threshold)

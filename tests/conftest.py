@@ -11,6 +11,7 @@ import pytest
 
 from ragloop import remote
 from ragloop.corpus import CorpusSnapshot, Document, HUMAN_SOURCE, SourceTag
+from ragloop.filters import FilterResult, label_documents, source_filter
 
 
 def human_doc(doc_id: str, text: str) -> Document:
@@ -26,6 +27,14 @@ def generated_doc(doc_id: str, text: str, generator: str, query_id: str,
 
 def snapshot_of(docs: list[Document]) -> CorpusSnapshot:
     return CorpusSnapshot(docs)
+
+
+def labelled_source_filter(candidates, detector, corpus: CorpusSnapshot) -> FilterResult:
+    """`source_filter` of the candidates, labelled by `detector` first, as
+    the runner labels each phase's candidates before it filters them."""
+    labels: dict[str, bool] = {}
+    label_documents(detector, candidates.doc_ids(), corpus, labels)
+    return source_filter(candidates, labels)
 
 
 def write_jsonl_file(path: Path, records: list[dict]) -> Path:

@@ -706,6 +706,25 @@ def test_diversity_filter_identical_on_random_pools():
                             text_oracle=trial % 10 == 0)
 
 
+def test_window_scores_after_replacements_match_a_fresh_window():
+    rng = random.Random(512)
+    for trial in range(60):
+        vocab = [f"w{i}" for i in range(rng.choice((2, 5, 12)))]
+        pool = [[rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+                for _ in range(rng.randint(8, 16))]
+        docs = pool[:CONTEXT_SIZE]
+        window = metrics._WindowCounts(docs)
+        for tokens in pool[CONTEXT_SIZE:]:
+            pos = rng.randrange(CONTEXT_SIZE)
+            window.replace(pos, tokens)
+            docs = docs[:pos] + docs[pos + 1:] + [tokens]
+        score, left_out = window.scores()
+        assert (score, left_out) == metrics._WindowCounts(docs).scores()
+        assert score == maxima_self_bleu(docs)
+        assert left_out == [maxima_self_bleu(docs[:pos] + docs[pos + 1:])
+                            for pos in range(CONTEXT_SIZE)]
+
+
 # ---- document grading from cached tokens ---------------------------------------
 
 def test_grading_identical_on_recorded_lists(recorded):

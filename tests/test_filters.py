@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import random
 
-from conftest import generated_doc, human_doc, snapshot_of
-from ragloop.filters import (MarkerStubDetector, diversity_filter,
-                             source_filter)
+from conftest import generated_doc, human_doc, labelled_source_filter, snapshot_of
+from ragloop.filters import MarkerStubDetector, diversity_filter
 from ragloop.metrics import self_bleu
 from ragloop.retrieval import RankedList
 
@@ -29,28 +28,28 @@ def _labeled_corpus(labels):
 
 def test_source_filter_scan_rule():
     corpus, ids = _labeled_corpus("HLHHLHH")
-    result = source_filter(_ranked(ids), MarkerStubDetector(), corpus)
+    result = labelled_source_filter(_ranked(ids), MarkerStubDetector(), corpus)
     assert result.doc_ids() == ["d1", "d3", "d4", "d6", "d7"]
     assert not result.shortfall and not result.fallback_unfiltered
 
 
 def test_source_filter_shortfall():
     corpus, ids = _labeled_corpus("LLHLLHLHLL")
-    result = source_filter(_ranked(ids), MarkerStubDetector(), corpus)
+    result = labelled_source_filter(_ranked(ids), MarkerStubDetector(), corpus)
     assert result.doc_ids() == ["d3", "d6", "d8"]
     assert result.shortfall
 
 
 def test_source_filter_all_human_identity():
     corpus, ids = _labeled_corpus("HHHHHHH")
-    result = source_filter(_ranked(ids), MarkerStubDetector(), corpus)
+    result = labelled_source_filter(_ranked(ids), MarkerStubDetector(), corpus)
     assert result.doc_ids() == ids[:5]
 
 
 def test_source_filter_keeps_zero_detected_docs():
     corpus, ids = _labeled_corpus("LHLHLHLHLH")
     detector = MarkerStubDetector()
-    result = source_filter(_ranked(ids), detector, corpus)
+    result = labelled_source_filter(_ranked(ids), detector, corpus)
     assert not result.fallback_unfiltered
     kept_texts = [corpus.get_text(d) for d in result.doc_ids()]
     assert not any(detector.classify(kept_texts))
@@ -64,7 +63,7 @@ class _BrokenDetector:
 
 def test_source_filter_fallback_on_detector_failure():
     corpus, ids = _labeled_corpus("LLLLLLL")
-    result = source_filter(_ranked(ids), _BrokenDetector(), corpus)
+    result = labelled_source_filter(_ranked(ids), _BrokenDetector(), corpus)
     assert result.fallback_unfiltered
     assert result.doc_ids() == ids[:5]
 
@@ -165,6 +164,6 @@ def test_diversity_filter_contract_on_random_pools():
 
 def test_filters_preserve_relative_order():
     corpus, ids = _labeled_corpus("HLHHLHHLHH")
-    result = source_filter(_ranked(ids), MarkerStubDetector(), corpus)
+    result = labelled_source_filter(_ranked(ids), MarkerStubDetector(), corpus)
     positions = [ids.index(d) for d in result.doc_ids()]
     assert positions == sorted(positions)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from ragloop.errors import GenerationFailure, RemoteServiceError
-from ragloop.filters import RemoteDetectorClient, source_filter
+from ragloop.filters import RemoteDetectorClient
 from ragloop.generation import (GenerationRequest, RemoteChatGenerator,
                                 generate, judge_support)
 from ragloop.remote import Endpoint
 from ragloop.retrieval import RankedList, RemoteEmbeddingClient, VectorIndex
 
-from conftest import human_doc, snapshot_of
+from conftest import human_doc, labelled_source_filter, snapshot_of
 
 
 def test_chat_generator_roundtrip(stub_server):
@@ -198,7 +198,7 @@ def test_detector_unreadable_row_falls_back_to_unfiltered(stub_server, bad_row):
     candidates = RankedList.from_ordered(
         "q", 1, [(d, float(len(ids) - i)) for i, d in enumerate(ids)])
     # every readable row says generated, so only the fallback keeps any
-    result = source_filter(candidates, client, corpus)
+    result = labelled_source_filter(candidates, client, corpus)
     assert result.fallback_unfiltered
     assert result.doc_ids() == ids[:5]
 

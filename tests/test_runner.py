@@ -260,6 +260,14 @@ def test_query_set_rejects_answers_that_normalize_to_nothing(tmp_path, answer):
         load_query_set(path)
 
 
+def test_query_set_reports_a_line_that_is_not_json_after_a_blank_one(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(json.dumps({"query_id": "q1", "question": "x",
+                                "answers": ["Paris"]}) + "\n\nnot json at all{\n")
+    with pytest.raises(CorpusFormatError, match=r"queries\.jsonl:3: invalid JSON record"):
+        load_query_set(path)
+
+
 def test_query_set_integer_id_and_answers_load_as_decimal_strings(tmp_path):
     path = tmp_path / "queries.jsonl"
     path.write_text(json.dumps({"query_id": 3, "question": "x",
@@ -1247,6 +1255,22 @@ def test_source_filter_mode_keeps_unmarked_contexts(tmp_path):
                               "contexts.jsonl"):
             if not ctx["fallback_unfiltered"]:
                 assert not (set(ctx["doc_ids"]) & gen_ids)
+
+
+def test_source_filter_mode_drops_documents_of_every_generators_marker(tmp_path):
+    # the offline detector flags each configured generator's marker, not
+    # only the first generator's
+    config = _config(tmp_path, filter_mode="source", iterations=2, generators=[
+        {"name": "gen-a", "kind": "synthetic", "marker": "synthweave"},
+        {"name": "gen-b", "kind": "synthetic", "marker": "otherweave"}])
+    assert config.build_detector().classify(
+        ["an otherweave note", "a synthweave note", "a human note"]) == [True, True, False]
+    run_experiment(config)
+    out = Path(config.output_dir)
+    kept = [d for i in (1, 2) for ctx in read_jsonl(
+                out / "iterations" / f"iter-{i:02d}" / "contexts.jsonl")
+            if not ctx["fallback_unfiltered"] for d in ctx["doc_ids"]]
+    assert kept and not any(d.startswith("gen-") for d in kept)
 
 
 def test_custom_phrase_file_is_used(tmp_path):
