@@ -85,14 +85,15 @@ class CorpusSnapshot:
     is the one way in, for the seed corpus and for every commit.
 
     Documents never change after commit, so their tokens are derived once:
-    `_tokens` maps a document's id to `tokenize(text)` as a tuple,
-    filled on first read. Each token is interned through `_vocab`, so equal
-    tokens across documents are one str object. Nothing else derived from
-    the text is kept: n-gram counts are built per call, by
-    `metrics._clipped_hits` for Self-BLEU and in one `metrics._WindowCounts`
-    per diversity-filter call, and go with it, because keeping them for
-    every document in a top-5 list costs more memory than the tokens
-    themselves.
+    `_tokens` maps a document's id to `tokenize(text)` as a tuple of
+    tokens interned through `_vocab`, so that equal tokens across
+    documents are one str object. A commit that tokenized its documents
+    already hands their tokens to `extend`; any other document's tokens
+    are filled on first read. Nothing else derived from the text is kept:
+    n-gram counts are built per call, by `metrics._clipped_hits` for
+    Self-BLEU and in one `metrics._WindowCounts` per diversity-filter
+    call, and go with it, because keeping them for every document in a
+    top-5 list costs more memory than the tokens themselves.
     """
 
     __slots__ = ("_docs", "_index_of", "_tokens", "_vocab")
@@ -104,8 +105,10 @@ class CorpusSnapshot:
         self._vocab: dict[str, str] = {}
         self.extend(docs)
 
-    def extend(self, docs: Iterable[Document]) -> None:
-        """Append `docs` in order. An id already present or repeated within
+    def extend(self, docs: Iterable[Document],
+               tokens: Iterable[tuple[str, ...]] | None = None) -> None:
+        """Append `docs` in order, with each one's `intern`ed tokens when
+        `tokens` yields them. An id already present or repeated within
         `docs` is rejected before the first append, so a rejected batch
         changes nothing."""
         docs = list(docs)
@@ -113,8 +116,19 @@ class CorpusSnapshot:
         for pos, doc in enumerate(docs, start=len(self._docs)):
             if doc.doc_id in self._index_of or index_of.setdefault(doc.doc_id, pos) != pos:
                 raise DuplicateDocumentError(doc.doc_id)
+        if tokens is not None:
+            tokens = list(tokens)
+            if len(tokens) != len(docs):
+                raise ValueError(f"{len(tokens)} token tuples for {len(docs)} documents")
+            self._tokens.update(zip(index_of, tokens))
         self._index_of.update(index_of)
         self._docs += docs
+
+    def intern(self, tokens: Iterable[str]) -> tuple[str, ...]:
+        """`tokens` as a tuple of the store's one copy of each token. Safe
+        with concurrent callers: `setdefault` interns each token once."""
+        intern = self._vocab.setdefault
+        return tuple([intern(t, t) for t in tokens])
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -132,9 +146,7 @@ class CorpusSnapshot:
         `setdefault` interns each token exactly once."""
         toks = self._tokens.get(doc_id)
         if toks is None:
-            intern = self._vocab.setdefault
-            toks = tuple([intern(t, t)
-                          for t in retrieval.tokenize(self.get(doc_id).text)])
+            toks = self.intern(retrieval.tokenize(self.get(doc_id).text))
             self._tokens[doc_id] = toks
         return toks
 
@@ -179,7 +191,7 @@ def ingest_seed_corpus(path: str | Path) -> CorpusSnapshot:
     """
     path = Path(path)
     docs: list[Document] = []
-    seen: set[str] = set()
+    lines: list[int] = []
     for line_no, rec in read_records(path):
         if not isinstance(rec, dict) or "doc_id" not in rec or "text" not in rec:
             raise CorpusFormatError("record must carry doc_id and text",
@@ -190,26 +202,32 @@ def ingest_seed_corpus(path: str | Path) -> CorpusSnapshot:
             raise CorpusFormatError("text must be a string, and title a string or "
                                     "absent; doc_id a string or an integer",
                                     path=str(path), line_no=line_no)
-        if doc_id in seen:
-            raise DuplicateDocumentError(doc_id, line_no=line_no)
-        seen.add(doc_id)
         if title:
             text = f"{title}{TITLE_TEXT_SEPARATOR}{text}"
         try:
             docs.append(Document(doc_id=doc_id, text=text, source=HUMAN_SOURCE))
         except ValueError as exc:
             raise CorpusFormatError(str(exc), path=str(path), line_no=line_no) from exc
+        lines.append(line_no)
     if not docs:
         raise CorpusFormatError("empty seed corpus", path=str(path))
-    return CorpusSnapshot(docs)
+    try:
+        return CorpusSnapshot(docs)
+    except DuplicateDocumentError as exc:
+        # the store rejects the id at its second occurrence: name that line
+        ids = [d.doc_id for d in docs]
+        second = ids.index(exc.doc_id, ids.index(exc.doc_id) + 1)
+        raise DuplicateDocumentError(exc.doc_id, line_no=lines[second]) from None
 
 
-def add_documents(corpus: CorpusSnapshot, docs: list[Document]) -> CorpusSnapshot:
-    """Append one commit's `docs` to the corpus in place and return it.
-    Mixed iteration_added is rejected before the first append, as
-    `CorpusSnapshot.extend` rejects an id already present or repeated."""
+def add_documents(corpus: CorpusSnapshot, docs: list[Document],
+                  tokens: Iterable[tuple[str, ...]] | None = None) -> CorpusSnapshot:
+    """Append one commit's `docs` to the corpus in place, with their tokens
+    when the caller holds them, and return it. Mixed iteration_added is
+    rejected before the first append, as `CorpusSnapshot.extend` rejects
+    an id already present or repeated."""
     iterations = {d.iteration_added for d in docs}
     if len(iterations) > 1:
         raise ValueError(f"documents in one commit must share iteration_added, got {sorted(iterations)}")
-    corpus.extend(docs)
+    corpus.extend(docs, tokens)
     return corpus

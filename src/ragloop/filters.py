@@ -142,10 +142,11 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
     the working set's order and n-gram counts; a swap rewrites only the
     leaving and joining documents' counts. Each round's `scores()` makes
     one pass that clips every document against the rest, and against the
-    rest without each other document in turn. Clipped counts are integers
-    and every score goes through the same `_bleu_from_clipped` as
-    `self_bleu`'s, so each is bit-equal to `self_bleu` of that subset,
-    which the filter never calls.
+    rest without each other document in turn, and scores the set; only a
+    round that drops a document scores every leave-one-out subset.
+    Clipped counts are integers and every score goes through the same
+    `_bleu_from_clipped` as `self_bleu`'s, so each is bit-equal to
+    `self_bleu` of that subset, which the filter never calls.
     """
     entries = candidates.entries
     if len(entries) < CONTEXT_SIZE:
@@ -160,9 +161,10 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
         if CONTEXT_SIZE + removals >= len(entries):
             return FilterResult(entries=working, exhausted=True,
                                 removals=removals)
+        left_out_scores = left_out()
         # ties prefer dropping the worst original rank
         drop = min(range(CONTEXT_SIZE),
-                   key=lambda pos: (left_out[pos], -working[pos].rank))
+                   key=lambda pos: (left_out_scores[pos], -working[pos].rank))
         entry = entries[CONTEXT_SIZE + removals]
         working.pop(drop)
         working.append(entry)

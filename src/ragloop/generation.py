@@ -194,6 +194,26 @@ _FILLER_WORDS = (
 ).split()
 
 
+def _leading_tokens(text: str, n: int) -> list[str]:
+    """`tokenize(text)[:n]`, read from as short a prefix of `text` as serves.
+
+    Lowering maps each character on its own, except a capital sigma, whose
+    form looks ahead; so a prefix without one lowers to a prefix of the
+    lowered text. When such a prefix holds more than n tokens, its first n
+    end inside it and are the text's first n.
+    """
+    size = 16 * (n + 1)
+    while size < len(text):
+        head = text[:size]
+        if "\u03a3" in head:
+            break
+        tokens = tokenize(head)
+        if len(tokens) > n:
+            return tokens[:n]
+        size *= 2
+    return tokenize(text)[:n]
+
+
 class SyntheticGenerator:
     """Deterministic offline generator with calibrated answer accuracy.
 
@@ -232,7 +252,7 @@ class SyntheticGenerator:
         query_terms = [t for t in tokenize(query) if t not in forbidden]
         echo: list[str] = []
         for ctx in contexts[:1]:
-            ctx_tokens = [t for t in tokenize(ctx)[:CONTEXT_ECHO_TOKENS]
+            ctx_tokens = [t for t in _leading_tokens(ctx, CONTEXT_ECHO_TOKENS)
                           if t not in forbidden]
             echo.extend(ctx_tokens)
 

@@ -9,7 +9,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,9 +75,21 @@ def _contains_any(needles: list[tuple[str, ...]], tokens: Sequence[str]) -> int:
     return int(any(_contains_normalized(tokens, n) for n in needles))
 
 
-def em(gold_answers: Sequence[str], text: str) -> int:
-    """1 iff any normalized gold answer occurs contiguously in the text."""
-    return _contains_any(_gold_needles(gold_answers), tokenize(text))
+def em(gold_answers: Sequence[str], text: str | Sequence[str]) -> int:
+    """1 iff any normalized gold answer occurs contiguously in the text.
+    `text` is a text or its tokens, such as the tokens a caller already
+    holds for an answer it grades against several answer sets."""
+    tokens = tokenize(text) if isinstance(text, str) else text
+    return _contains_any(_gold_needles(gold_answers), tokens)
+
+
+def _holds_gold(doc_id: str, needles: list[tuple[str, ...]],
+                corpus: CorpusSnapshot, contains: dict[str, int]) -> int:
+    """`_contains_any` of the document's tokens, memoized in `contains`."""
+    hit = contains.get(doc_id)
+    if hit is None:
+        hit = contains[doc_id] = _contains_any(needles, corpus.tokens(doc_id))
+    return hit
 
 
 def em_llm(contains: int, judge_verdict: str) -> int:
@@ -236,20 +248,24 @@ class _WindowCounts:
         return sums.reshape(self.size, self.size, self.max_n).transpose(
             1, 0, 2).tolist()
 
-    def scores(self) -> tuple[float, list[float]]:
-        """The Self-BLEU of the set, and of the set without each position
-        in turn, each summed in position order: bit-equal to `self_bleu`
-        of those documents."""
-        clipped, lengths, order = self.clipped(), self.lengths, self.order
-        means = []
-        for out in [None, *order]:
+    def scores(self) -> tuple[float, Callable[[], list[float]]]:
+        """The Self-BLEU of the set, and a function that gives the Self-BLEU
+        of the set without each position in turn, each summed in position
+        order: bit-equal to `self_bleu` of those documents. Both read one
+        `clipped` table, but the leave-one-out scores are worked out only
+        when that function is called: the diversity filter calls it only
+        in a round that drops a document."""
+        clipped, lengths, order = self.clipped(), self.lengths, list(self.order)
+
+        def mean(out: int | None) -> float:
             members = [k for k in order if k != out]
             bleus = [_bleu_from_clipped(
                 clipped[i][i if out is None else out], lengths[i],
                 [lengths[k] for k in members if k != i], self.max_n)
                 for i in members]
-            means.append(sum(bleus) / len(bleus))
-        return means[0], means[1:]
+            return sum(bleus) / len(bleus)
+
+        return mean(None), lambda: [mean(out) for out in order]
 
 
 def _block_hits(block: list[Sequence[Sequence]], max_n: int) -> list[list]:
@@ -377,10 +393,14 @@ def self_bleu(docs: Sequence[str | Sequence[str]] | Mapping[object, Sequence],
 
 
 def context_right_num(top5: RankedList, golds: Sequence[str],
-                      corpus: CorpusSnapshot) -> int:
-    """How many of the top-5 documents contain a gold answer."""
+                      corpus: CorpusSnapshot,
+                      contains: dict[str, int] | None = None) -> int:
+    """How many of the top-5 documents contain a gold answer. `contains`
+    memoizes each document's containment, as in `first_right_ranks`."""
     needles = _gold_needles(golds)
-    return sum(_contains_any(needles, corpus.tokens(e.doc_id)) for e in top5.top(5))
+    contains = {} if contains is None else contains
+    return sum(_holds_gold(e.doc_id, needles, corpus, contains)
+               for e in top5.top(5))
 
 
 def transitions(em_prev: Mapping, em_next: Mapping) -> tuple[int, int]:
@@ -393,16 +413,22 @@ def transitions(em_prev: Mapping, em_next: Mapping) -> tuple[int, int]:
 
 
 def first_right_ranks(ranked: RankedList, golds: Sequence[str],
-                      corpus: CorpusSnapshot) -> tuple[int | None, int | None]:
+                      corpus: CorpusSnapshot, contains: dict[str, int] | None = None
+                      ) -> tuple[int | None, int | None]:
     """Rank of the first correct document from any source and from humans.
 
     Returns None for a slot when no such document is in the list.
+    `contains` maps a doc_id to whether it holds one of `golds`, and is
+    filled as documents are checked. Neither documents nor a query's
+    answers change during a run, so the runner keeps one map per query for
+    the whole run and each (query, document) pair is checked once.
     """
     first_any: int | None = None
     first_human: int | None = None
     needles = _gold_needles(golds)
+    contains = {} if contains is None else contains
     for entry in ranked.entries:
-        if not _contains_any(needles, corpus.tokens(entry.doc_id)):
+        if not _holds_gold(entry.doc_id, needles, corpus, contains):
             continue
         if first_any is None:
             first_any = entry.rank

@@ -34,7 +34,7 @@ from .filters import (FilterResult, diversity_filter, label_documents,
                       source_filter)
 from .rerank import rerank
 from .retrieval import (InvertedIndex, RankedList, VectorIndex, search_bm25,
-                        search_dense)
+                        search_dense, tokenize)
 
 logger = logging.getLogger(__name__)
 
@@ -166,8 +166,15 @@ class ExperimentRunner:
         self.queries = sample_queries(all_queries, config.sample_size, config.seed)
         self.corpus = ingest_seed_corpus(config.seed_corpus)
         self.embedder = config.build_embedder() if config.uses_dense else None
-        self.index = VectorIndex() if config.uses_dense else InvertedIndex()
-        self._index_docs(list(self.corpus.iter_documents()))
+        seed_docs = list(self.corpus.iter_documents())
+        if config.uses_dense:
+            self.index = VectorIndex()
+            self.index.add_documents(seed_docs, self.embedder)
+        else:
+            # one seed document's tokens at a time: the corpus tokenizes a
+            # seed document again only when something reads it
+            self.index = InvertedIndex()
+            self.index.add(seed_docs)
         # questions never change, so a dense run embeds them once, here
         self.query_vecs = dict(zip(
             [q.query_id for q in self.queries],
@@ -185,11 +192,15 @@ class ExperimentRunner:
         self.phrases = (postprocess.PhraseList.from_file(config.phrase_file)
                         if config.phrase_file else None)
         self.misinfo_specs: dict[str, MisinfoSpec] = {}
-        # documents never change after commit, so a service is asked about
-        # each once: a rerank score per (query, doc_id), a label per doc_id
+        # documents never change after commit, so each fact about one is
+        # derived once: a rerank score per (query, doc_id), a label per
+        # doc_id, and whether a document holds a query's answer per
+        # (query, doc_id)
         self.rerank_scores: dict[str, dict[str, float]] = {
             q.query_id: {} for q in self.queries}
         self.labels: dict[str, bool] = {}
+        self.contains: dict[str, dict[str, int]] = {
+            q.query_id: {} for q in self.queries}
 
     # ---- shared helpers --------------------------------------------------
 
@@ -228,15 +239,19 @@ class ExperimentRunner:
             kept = FilterResult(entries=list(ranked.entries[:CONTEXT_SIZE]))
         return ranked, kept
 
-    def _index_docs(self, docs: list[Document]) -> None:
+    def _commit(self, docs: list[Document],
+                tokens: list[tuple[str, ...]] | None = None) -> None:
+        """Append `docs` to the corpus and the index. `tokens`, each
+        document's interned tokens, go to both; a BM25 run tokenizes
+        documents that come without them here, once for both."""
         if self.config.uses_dense:
+            add_documents(self.corpus, docs, tokens)
             self.index.add_documents(docs, self.embedder)
-        else:
-            self.index.add(docs)
-
-    def _commit(self, docs: list[Document]) -> None:
-        add_documents(self.corpus, docs)
-        self._index_docs(docs)
+            return
+        if tokens is None:
+            tokens = [self.corpus.intern(tokenize(d.text)) for d in docs]
+        add_documents(self.corpus, docs, tokens)
+        self.index.add(docs, tokens)
 
     # ---- generation ------------------------------------------------------
 
@@ -282,31 +297,37 @@ class ExperimentRunner:
             return None
         return raw, postprocess.clean(raw, self.phrases)
 
-    def _record(self, task: tuple) -> GenerationRecord | None:
-        """Generate, clean and grade one task; None when generation fails."""
+    def _record(self, task: tuple
+                ) -> tuple[GenerationRecord, tuple[str, ...]] | None:
+        """Generate, clean and grade one task: its record and the cleaned
+        answer's interned tokens, which every grade reads and a commit
+        hands on; None when generation fails."""
         answer = self._answer(task)
         if answer is None:
             return None
         query, gen_name, request = task
         raw, cleaned = answer
-        em_value, em_llm_value = self._grade(query, query.answers, cleaned)
+        tokens = self.corpus.intern(tokenize(cleaned))
+        em_value, em_llm_value = self._grade(query, query.answers, cleaned,
+                                             tokens)
         spec = self.misinfo_specs.get(query.query_id)
         em_false, em_llm_false = (None, None) if spec is None else \
-            self._grade(query, [spec.chosen_false_answer], cleaned)
+            self._grade(query, [spec.chosen_false_answer], cleaned, tokens)
         return GenerationRecord(
             query_id=query.query_id, iteration=request.iteration,
             generator_name=gen_name, raw_text=raw, cleaned_text=cleaned,
             em=em_value, em_llm=em_llm_value, em_false=em_false,
-            em_llm_false=em_llm_false)
+            em_llm_false=em_llm_false), tokens
 
-    def _grade(self, query: QueryRecord, answers: list[str],
-               cleaned: str) -> tuple[int, int | None]:
-        """Containment of any of `answers`, and with a judge its verdict on
-        the first contained answer; None when the judge cannot be reached."""
-        hit = M.em(answers, cleaned)
+    def _grade(self, query: QueryRecord, answers: list[str], cleaned: str,
+               tokens: tuple[str, ...]) -> tuple[int, int | None]:
+        """Containment of any of `answers` in `cleaned`, whose tokens are
+        `tokens`, and with a judge its verdict on the first contained
+        answer; None when the judge cannot be reached."""
+        hit = M.em(answers, tokens)
         if self.judge is None or hit == 0:
             return hit, (None if self.judge is None else 0)
-        matched = next(a for a in answers if M.em([a], cleaned) == 1)
+        matched = next(a for a in answers if M.em([a], tokens) == 1)
         try:
             verdict, _ = judge_support(self.judge, query.question, cleaned,
                                        matched)
@@ -394,11 +415,12 @@ class ExperimentRunner:
 
     # ---- phases ----------------------------------------------------------
 
-    def _run_phase(self, iteration: int,
-                   em_prev: dict | None) -> tuple[IterationArtifacts,
-                                                  list[Document]]:
+    def _run_phase(self, iteration: int, em_prev: dict | None
+                   ) -> tuple[IterationArtifacts, list[Document],
+                              list[tuple[str, ...]]]:
         """One retrieve-filter-generate-grade pass; returns artifacts plus
-        the cleaned documents ready for commit (empty at baseline).
+        the cleaned documents ready for commit and their tokens (both
+        empty at baseline).
 
         Searches and the one detector request run on this thread, so that
         every request payload is a function of the seed at any
@@ -415,17 +437,19 @@ class ExperimentRunner:
             ranked[qid], contexts[qid] = rl, kept
             # the containment scans wait on no remote call: they stay off
             # the pool, where they would only contend for the GIL
-            first_any, first_human = M.first_right_ranks(rl, answers,
-                                                         self.corpus)
+            contains = self.contains[qid]
+            first_any, first_human = M.first_right_ranks(
+                rl, answers, self.corpus, contains=contains)
             scans[qid] = {
-                "context_right_num": M.context_right_num(rl, answers,
-                                                         self.corpus),
+                "context_right_num": M.context_right_num(
+                    rl, answers, self.corpus, contains=contains),
                 "first_right_any": first_any, "first_right_human": first_human}
 
         specs = (self.config.generators_for_iteration(iteration)
                  if iteration >= 1 else list(self.config.generators))
         tasks = self._tasks(WITH_CONTEXTS, iteration, specs, contexts)
-        records = [r for r in self._map(self._record, tasks) if r is not None]
+        graded = [r for r in self._map(self._record, tasks) if r is not None]
+        records = [record for record, _ in graded]
         failures = len(tasks) - len(records)
         if tasks and failures / len(tasks) > self.config.max_failure_fraction:
             raise RagLoopError(
@@ -435,6 +459,7 @@ class ExperimentRunner:
         new_docs = [_generated_doc(r.generator_name, iteration + 1, r.query_id,
                                    r.cleaned_text)
                     for r in records] if iteration >= 1 else []
+        new_tokens = [tokens for _, tokens in graded] if iteration >= 1 else []
         eval_records = [M.EvalRecord(
             query_id=r.query_id, iteration=iteration,
             generator_name=r.generator_name, em=r.em, em_llm=r.em_llm,
@@ -446,7 +471,7 @@ class ExperimentRunner:
             iteration=iteration, ranked=ranked, contexts=contexts,
             records=records, metrics=bundle)
         self._persist_phase(iteration, artifacts, eval_records, new_docs)
-        return artifacts, new_docs
+        return artifacts, new_docs, new_tokens
 
     def _persist_phase(self, iteration: int, artifacts: IterationArtifacts,
                        eval_records: list[M.EvalRecord],
@@ -575,15 +600,16 @@ class ExperimentRunner:
     # ---- public entry points ----------------------------------------------
 
     def run_baseline(self) -> IterationArtifacts:
-        artifacts, _docs = self._run_phase(0, em_prev=None)
+        artifacts, _docs, _tokens = self._run_phase(0, em_prev=None)
         return artifacts
 
     def run_iteration(self, iteration: int,
                       em_prev: dict | None) -> IterationArtifacts:
         if iteration < 1:
             raise ValueError("iteration must be >= 1")
-        artifacts, new_docs = self._run_phase(iteration, em_prev=em_prev)
-        self._commit(new_docs)
+        artifacts, new_docs, new_tokens = self._run_phase(iteration,
+                                                          em_prev=em_prev)
+        self._commit(new_docs, new_tokens)
         return artifacts
 
 

@@ -42,6 +42,32 @@ def test_ingest_duplicate_id_names_id_and_line(tmp_path):
     assert err.value.line_no == 5
 
 
+def test_ingest_duplicate_id_names_its_line_past_blank_lines(tmp_path):
+    path = tmp_path / "seed.jsonl"
+    path.write_text('{"doc_id": "d1", "text": "x"}\n\n'
+                    '{"doc_id": 7, "text": "x"}\n\n\n'
+                    '{"doc_id": "d2", "text": "x"}\n'
+                    '{"doc_id": "7", "text": "y"}\n'
+                    '{"doc_id": "d1", "text": "z"}\n')
+    with pytest.raises(DuplicateDocumentError) as err:
+        ingest_seed_corpus(path)
+    # the integer id 7 reads as "7", so line 7 repeats line 3
+    assert err.value.doc_id == "7" and err.value.line_no == 7
+
+
+def test_extend_stores_given_tokens_and_rejects_a_mismatch_whole():
+    snap = snapshot_of([human_doc("d1", "doc one")])
+    given = snap.intern(["given", "tokens"])
+    snap.extend([human_doc("d2", "other text")], [given])
+    # handed tokens are stored as they are; the rest are read from the text
+    assert snap.tokens("d2") is given and snap.tokens("d1") == ("doc", "one")
+    with pytest.raises(ValueError, match="2 token tuples for 1 documents"):
+        snap.extend([human_doc("d3", "three")], [("three",), ("extra",)])
+    assert len(snap) == 2 and "d3" not in snap
+    with pytest.raises(KeyError):
+        snap.tokens("d3")
+
+
 def test_ingest_empty_file_rejected(tmp_path):
     path = tmp_path / "seed.jsonl"
     path.write_text("")

@@ -13,7 +13,9 @@ the arithmetic is the same, so the floats must be bit-equal. The synthetic
 generator's former side methods for false answers and judge replies are
 kept too, as oracles for the requests `generate` now answers. So are the
 phrase cleaner that ran every phrase's regex over every text, and the
-searches that fully sorted every candidate before keeping the top k.
+searches that fully sorted every candidate before keeping the top k. The
+tokenizer's regex stays in `retrieval` as the oracle of its ASCII fast path
+and of the synthetic generator's read of a context's leading tokens.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from ragloop.corpus import CorpusSnapshot, HUMAN
 from ragloop.filters import DIVERSITY_THRESHOLD, FilterResult
 from ragloop.generation import (ANSWER_CHECK, CONTEXT_SIZE, FALSE_ANSWER_COUNT,
                                 MIS_ANSWER, GenerationRequest,
-                                SyntheticGenerator, build_prompt, derive_seed)
+                                SyntheticGenerator, _leading_tokens,
+                                build_prompt, derive_seed)
 from ragloop.metrics import _bleu_from_clipped, normalize_answer
 from ragloop.config import parse_config_mapping
 from ragloop.postprocess import PhraseList, clean, default_phrase_list
@@ -706,6 +709,11 @@ def test_diversity_filter_identical_on_random_pools():
                             text_oracle=trial % 10 == 0)
 
 
+def _window_scores(window: metrics._WindowCounts) -> tuple[float, list[float]]:
+    score, left_out = window.scores()
+    return score, left_out()
+
+
 def test_window_scores_after_replacements_match_a_fresh_window():
     rng = random.Random(512)
     for trial in range(60):
@@ -718,8 +726,8 @@ def test_window_scores_after_replacements_match_a_fresh_window():
             pos = rng.randrange(CONTEXT_SIZE)
             window.replace(pos, tokens)
             docs = docs[:pos] + docs[pos + 1:] + [tokens]
-        score, left_out = window.scores()
-        assert (score, left_out) == metrics._WindowCounts(docs).scores()
+        score, left_out = _window_scores(window)
+        assert (score, left_out) == _window_scores(metrics._WindowCounts(docs))
         assert score == maxima_self_bleu(docs)
         assert left_out == [maxima_self_bleu(docs[:pos] + docs[pos + 1:])
                             for pos in range(CONTEXT_SIZE)]
@@ -1076,3 +1084,142 @@ def test_vector_search_matches_full_sort_after_incremental_adds():
             for k in (1, 4, 20, vindex.doc_count, vindex.doc_count + 3):
                 assert _bits(vindex.search_vector(query, k)) == \
                     _bits(oracle_vector_search(vindex, query, k))
+
+
+# ---- tokenize: the ASCII fast path against the regex ----------------------------
+
+# the Kelvin sign lowers to ASCII "k"; dotted capital I lowers to "i" and a
+# combining dot; long s is a letter whose lowercase is itself; capital sigma
+# lowers to final sigma at the end of a word; an Arabic-Indic digit and the
+# "fi" ligature are word characters outside ASCII
+_NON_ASCII = ["\u212a", "\u0130", "\u017f", "\u03a3", "\u03c3", "\u03c2",
+              "\u0663", "\ufb01", "\u00e9", "\u00a0", "\u2014"]
+
+
+def _regex_tokens(text: str) -> list[str]:
+    return retrieval._TOKEN_RE.findall(text.lower())
+
+
+def test_tokenize_matches_the_regex_on_every_ascii_code_point():
+    for code in range(128):
+        c = chr(code)
+        for text in (c, c * 3, f"ab{c}CD", f"{c}x_{c}9Z{c}", f"_{c}_"):
+            assert tokenize(text) == _regex_tokens(text), repr(text)
+
+
+@pytest.mark.parametrize("text", [
+    "\u212aelvin", "\u212a", "\u0130stanbul", "d\u0130\u0130", "\u017ftra\u017fe",
+    "\u039f\u0394\u039f\u03a3 \u039f\u0394\u039f\u03a3.", "\u03a3\u0391\u03a3", "\u03a3_\u03a3",
+    "\u0663 apples", "x\u0663y", "\ufb01le \ufb01", "snake_case \u0130",
+    "caf\u00e9\u00a0bar\u2014baz"])
+def test_tokenize_matches_the_regex_on_non_ascii_text(text):
+    assert tokenize(text) == _regex_tokens(text)
+
+
+def test_tokenize_takes_the_fast_path_when_the_lowered_text_is_ascii():
+    # the Kelvin sign is not ASCII, but its lowercase is
+    assert "\u212aelvin".lower().isascii()
+    assert tokenize("\u212aelvin") == ["kelvin"] == _regex_tokens("\u212aelvin")
+
+
+def test_tokenize_matches_the_regex_on_random_strings():
+    rng = random.Random(25)
+    ascii_chars = [chr(code) for code in range(128)]
+    wordy = list("abcXYZ019_ ") * 4
+    for trial in range(4000):
+        pool = ascii_chars + wordy
+        if trial % 2:
+            pool = pool + _NON_ASCII * 3
+        text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
+        assert tokenize(text) == _regex_tokens(text), repr(text)
+
+
+def test_leading_tokens_match_the_head_of_every_token():
+    rng = random.Random(41)
+    seps = [" ", " ", ", ", "-", "_", "\n", "'", "\u2014"]
+    letters = "abcdefghXYZ0123" + "".join(_NON_ASCII)
+    for trial in range(600):
+        words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 25)))
+                 for _ in range(rng.randint(0, 60))]
+        text = "".join(w + rng.choice(seps) for w in words)
+        for n in (0, 1, 3, 12, 40):
+            assert _leading_tokens(text, n) == tokenize(text)[:n], (text, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_leading_tokens_never_keep_a_token_cut_by_the_prefix(n):
+    # the n-th token starts well inside the first prefix read and ends
+    # past it, so the prefix holds exactly n tokens, the last one cut
+    text = "ab " * (n - 1) + "c" * (64 * (n + 1)) + " tail words"
+    assert _leading_tokens(text, n) == tokenize(text)[:n]
+    assert _leading_tokens(text, n)[-1] == "c" * (64 * (n + 1))
+
+
+def test_leading_tokens_of_a_capital_sigma_read_past_the_prefix():
+    # the sigma's case depends on the "a" past the apostrophe and the
+    # modifier letters, which a 32-character prefix cuts off: read alone,
+    # the prefix would end its first token in a final sigma
+    text = "\u0391\u03a3'" + "\u02b0" * 29 + "\u03b1 more words here"
+    assert tokenize(text[:32])[0] != tokenize(text)[0]
+    assert _leading_tokens(text, 1) == tokenize(text)[:1] == ["\u03b1\u03c3"]
+
+
+def test_leading_tokens_read_a_short_prefix_of_a_long_ascii_text(monkeypatch):
+    seen: list[str] = []
+    monkeypatch.setattr("ragloop.generation.tokenize",
+                        lambda text: seen.append(text) or tokenize(text))
+    text = "word " * 2000
+    assert _leading_tokens(text, 12) == ["word"] * 12
+    assert len(seen) == 1 and len(seen[0]) < 500
+
+
+def test_ranked_list_entries_are_rank_entries():
+    ranked = RankedList.from_ordered("q", 3, [("b", 2), ("a", np.float64(0.5))])
+    assert ranked.entries == [RankEntry("b", 2.0, 1), RankEntry("a", 0.5, 2)]
+    assert all(type(e) is RankEntry and type(e.score) is float
+               for e in ranked.entries)
+    assert ranked.entries[1].doc_id == "a" and ranked.entries[1].rank == 2
+
+
+# ---- one tokenization per committed document -------------------------------------
+
+def test_committed_tokens_and_index_equal_a_fresh_tokenization(tmp_path):
+    corpus_path, query_path = write_demo_dataset(tmp_path / "data", num_docs=80,
+                                                 num_queries=8, seed=5)
+    config = parse_config_mapping({
+        "seed_corpus": str(corpus_path), "query_set": str(query_path),
+        "output_dir": str(tmp_path / "run"), "pipeline": "bm25",
+        "sample_size": 8, "iterations": 2, "seed": 6, "offline": True,
+        "misinfo": True, "grade_with_judge": True,
+        "generators": [
+            {"name": "gen-a", "kind": "synthetic", "accuracy": 0.7},
+            {"name": "gen-b", "kind": "synthetic", "accuracy": 0.7},
+        ],
+    })
+    runner = ExperimentRunner(config)
+    runner.run_baseline()
+    runner._commit(runner.inject_zero_shot())
+    for iteration in (1, 2):
+        runner.run_iteration(iteration, em_prev=None)
+    corpus = runner.corpus
+    docs = list(corpus.iter_documents())
+    assert sum(d.source.kind != HUMAN for d in docs) > 40
+    for doc in docs:
+        tokens = corpus.tokens(doc.doc_id)
+        assert tokens == tuple(tokenize(doc.text))
+        # every token is the store's one copy
+        assert all(corpus._vocab[t] is t for t in tokens)
+    fresh = InvertedIndex()
+    fresh.add(docs)
+    index = runner.index
+    assert index.doc_ids == fresh.doc_ids
+    assert index.doc_lengths == fresh.doc_lengths
+    assert index.total_length == fresh.total_length
+    assert np.array_equal(index._id_rank, fresh._id_rank)
+    assert _bits(list(enumerate(index._norm.tolist()))) == \
+        _bits(list(enumerate(fresh._norm.tolist())))
+    assert index.postings.keys() == fresh.postings.keys()
+    for term, (idxs, tfs) in fresh.postings.items():
+        got_idxs, got_tfs = index.postings[term]
+        assert (got_idxs.dtype, got_tfs.dtype) == (np.int64, np.int32)
+        assert np.array_equal(got_idxs, idxs) and np.array_equal(got_tfs, tfs)

@@ -12,7 +12,7 @@ from ragloop.metrics import (EvalRecord, IterationMetrics, acc_at_k,
                              context_right_num, dominance_p, em, em_llm,
                              first_right_ranks, normalize_answer, pearson,
                              self_bleu, source_share, transitions)
-from ragloop.retrieval import RankedList
+from ragloop.retrieval import RankedList, tokenize
 
 
 # ---- normalization and EM ---------------------------------------------------
@@ -38,6 +38,14 @@ def test_em_case_and_article_invariance():
 def test_em_requires_contiguous_tokens():
     assert em(["new york city"], "new york is a city") == 0
     assert em(["new york city"], "welcome to new york city today") == 1
+
+
+def test_em_of_tokens_equals_em_of_text():
+    for text in ("The capital of France is Paris.", "new york is a city",
+                 "welcome to the New York city today", ""):
+        for golds in (["Paris"], ["new york city"], ["the city", "Lyon"]):
+            assert em(golds, tokenize(text)) == em(golds, text)
+            assert em(golds, tuple(tokenize(text))) == em(golds, text)
 
 
 def test_em_rejects_empty_golds():
@@ -320,6 +328,21 @@ def test_first_right_ranks_none():
     corpus = _rank_corpus()
     lst = _ranked("q", ["h-none", "g-wrong"])
     assert first_right_ranks(lst, ["Paris"], corpus) == (None, None)
+
+
+def test_containment_memo_is_filled_and_then_read():
+    corpus = _rank_corpus()
+    lst = _ranked("q", ["h-none", "g-right", "g-wrong", "h-first"])
+    contains: dict[str, int] = {}
+    assert first_right_ranks(lst, ["Paris"], corpus, contains=contains) == (2, 4)
+    assert contains == {"h-none": 0, "g-right": 1, "g-wrong": 0, "h-first": 1}
+    assert context_right_num(lst, ["Paris"], corpus, contains=contains) == 2
+    # a memoized document is not checked again: a flipped entry shows
+    contains["g-wrong"] = 1
+    assert first_right_ranks(lst, ["Paris"], corpus, contains=contains) == (2, 4)
+    assert context_right_num(lst, ["Paris"], corpus, contains=contains) == 3
+    contains["h-none"] = 1
+    assert first_right_ranks(lst, ["Paris"], corpus, contains=contains) == (1, 1)
 
 
 def test_first_right_any_never_exceeds_human():

@@ -185,6 +185,32 @@ def test_index_add_rejects_a_bad_batch_whole(batch):
     assert [doc_id for doc_id, _ in index.search("apple", 10)] == ["d1"]
 
 
+def test_index_add_of_given_tokens_equals_add_of_texts():
+    rng = random.Random(7)
+    docs = _random_docs(rng, 60, [f"w{i}" for i in range(30)])
+    given = InvertedIndex()
+    given.add(docs[:25], [tuple(tokenize(d.text)) for d in docs[:25]])
+    given.add(docs[25:], (tokenize(d.text) for d in docs[25:]))
+    texts = InvertedIndex()
+    texts.add(docs)
+    assert given.doc_lengths == texts.doc_lengths
+    assert given.postings.keys() == texts.postings.keys()
+    for term, (idxs, tfs) in texts.postings.items():
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(given.postings[term], (idxs, tfs)))
+    assert given.search("w1 w2 w3", 60) == texts.search("w1 w2 w3", 60)
+
+
+def test_index_add_rejects_a_token_count_mismatch_whole():
+    index = InvertedIndex()
+    index.add([human_doc("d1", "apple pie")])
+    with pytest.raises(ValueError, match="1 token sequences for 2 documents"):
+        index.add([human_doc("d2", "apple"), human_doc("d3", "tart")],
+                  [["apple"]])
+    assert index.doc_ids == ["d1"] and index.doc_lengths == [2]
+    assert index.total_length == 2
+
+
 # ---- dense ----------------------------------------------------------------
 
 def test_dense_exact_match_vector():
