@@ -89,11 +89,14 @@ class CorpusSnapshot:
     tokens interned through `_vocab`, so that equal tokens across
     documents are one str object. A commit that tokenized its documents
     already hands their tokens to `extend`; any other document's tokens
-    are filled on first read. Nothing else derived from the text is kept:
-    n-gram counts are built per call, by `metrics._clipped_hits` for
-    Self-BLEU and in one `metrics._WindowCounts` per diversity-filter
-    call, and go with it, because keeping them for every document in a
-    top-5 list costs more memory than the tokens themselves.
+    are filled on first read. Rerank, the metrics, the diversity filter
+    and the synthetic generator, which echoes the head of a request's
+    first kept context, read them here. Nothing else derived from the
+    text is kept: n-gram counts are built per call, by
+    `metrics._clipped_hits` for Self-BLEU and in one
+    `metrics._WindowCounts` per diversity-filter call, and go with it,
+    because keeping them for every document in a top-5 list costs more
+    memory than the tokens themselves.
     """
 
     __slots__ = ("_docs", "_index_of", "_tokens", "_vocab")

@@ -31,7 +31,8 @@ CONTEXT_SIZE = 5
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_STYLE_MARKER = "synthweave"
 FALSE_ANSWER_COUNT = 5
-# leading tokens of the first context that a synthetic answer repeats
+# leading tokens of the first kept context that a synthetic answer repeats,
+# read from the corpus store's tokens of that document
 CONTEXT_ECHO_TOKENS = 12
 
 _SEPARATOR = "-" * 21
@@ -132,7 +133,9 @@ class GenerationRequest:
     """Everything a backend may need for one call.
 
     Remote backends consume only the rendered prompt; the synthetic backend
-    also uses the structured fields to seed its recipe.
+    also uses the structured fields to seed its recipe. `top_context` is
+    the corpus store's token tuple of the first kept context, empty when
+    the prompt has no contexts; the synthetic backend echoes its head.
     """
 
     prompt: str
@@ -142,7 +145,7 @@ class GenerationRequest:
     query: str = ""
     gold_answers: list[str] = field(default_factory=list)
     false_answer: str | None = None
-    contexts: list[str] = field(default_factory=list)
+    top_context: tuple[str, ...] = ()
     response: str | None = None
     answer: str | None = None
     attempt: int = 0
@@ -194,26 +197,6 @@ _FILLER_WORDS = (
 ).split()
 
 
-def _leading_tokens(text: str, n: int) -> list[str]:
-    """`tokenize(text)[:n]`, read from as short a prefix of `text` as serves.
-
-    Lowering maps each character on its own, except a capital sigma, whose
-    form looks ahead; so a prefix without one lowers to a prefix of the
-    lowered text. When such a prefix holds more than n tokens, its first n
-    end inside it and are the text's first n.
-    """
-    size = 16 * (n + 1)
-    while size < len(text):
-        head = text[:size]
-        if "\u03a3" in head:
-            break
-        tokens = tokenize(head)
-        if len(tokens) > n:
-            return tokens[:n]
-        size *= 2
-    return tokenize(text)[:n]
-
-
 class SyntheticGenerator:
     """Deterministic offline generator with calibrated answer accuracy.
 
@@ -240,21 +223,11 @@ class SyntheticGenerator:
         knowledge_seed = derive_seed(self.seed, "knowledge", self.name, query_id)
         return random.Random(knowledge_seed).random() < self.accuracy
 
-    def _forbidden_tokens(self, answers: list[str]) -> set[str]:
-        forbidden: set[str] = set()
-        for answer in answers:
-            forbidden.update(tokenize(answer))
-        return forbidden
-
     def _compose(self, rng: random.Random, query: str, include: str | None,
-                 exclude: list[str], contexts: list[str]) -> str:
-        forbidden = self._forbidden_tokens(exclude)
+                 exclude: list[str], top_context: tuple[str, ...]) -> str:
+        forbidden = {t for answer in exclude for t in tokenize(answer)}
         query_terms = [t for t in tokenize(query) if t not in forbidden]
-        echo: list[str] = []
-        for ctx in contexts[:1]:
-            ctx_tokens = [t for t in _leading_tokens(ctx, CONTEXT_ECHO_TOKENS)
-                          if t not in forbidden]
-            echo.extend(ctx_tokens)
+        echo = [t for t in top_context[:CONTEXT_ECHO_TOKENS] if t not in forbidden]
 
         words = [w for w in _FILLER_WORDS if w not in forbidden] or ["material"]
 
@@ -315,13 +288,13 @@ class SyntheticGenerator:
                 raise GenerationFailure("mis-passage request without a false answer")
             return self._compose(rng, request.query, include=request.false_answer,
                                  exclude=list(request.gold_answers),
-                                 contexts=request.contexts)
+                                 top_context=request.top_context)
         include = None
         if request.gold_answers and self._knows_answer(request.query_id):
             include = request.gold_answers[0]
         exclude = [] if include is not None else list(request.gold_answers)
         return self._compose(rng, request.query, include=include,
-                             exclude=exclude, contexts=request.contexts)
+                             exclude=exclude, top_context=request.top_context)
 
 
 class RemoteChatGenerator:

@@ -42,13 +42,6 @@ class PhraseList:
     def __len__(self) -> int:
         return len(self.phrases)
 
-    def contains_any(self, text: str) -> bool:
-        """True iff `clean` would find a phrase in the text."""
-        lowered = _ascii_lowered(text)
-        return any(needle in lowered if _exact(needle, lowered)
-                   else pattern.search(text) is not None
-                   for needle, pattern in self._patterns)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "PhraseList":
         return cls(_phrase_lines(Path(path).read_text(encoding="utf-8")))

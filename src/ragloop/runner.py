@@ -260,19 +260,20 @@ class ExperimentRunner:
         """One (query, generator name, request) per query and generator, in
         (query_id, name) order, as `self.queries` is sorted by id; prompts
         fill their context slots from each query's kept contexts, and
-        zero-shot prompts have none."""
+        zero-shot prompts have none. Each request carries the stored tokens
+        of its first kept context."""
         tasks = []
         for query in self.queries:
-            texts = [] if contexts is None else [
-                self.corpus.get_text(e.doc_id)
-                for e in contexts[query.query_id].entries]
+            kept = [] if contexts is None else contexts[query.query_id].entries
+            texts = [self.corpus.get_text(e.doc_id) for e in kept]
+            top_context = self.corpus.tokens(kept[0].doc_id) if kept else ()
             padded = (texts + [""] * CONTEXT_SIZE)[:CONTEXT_SIZE]
             prompt = build_prompt(kind, query.question, contexts=padded)
             for spec in sorted(specs, key=lambda s: s.name):
                 request = GenerationRequest(
                     prompt=prompt, kind=kind, query_id=query.query_id,
                     iteration=iteration, query=query.question,
-                    gold_answers=list(query.answers), contexts=texts)
+                    gold_answers=list(query.answers), top_context=top_context)
                 tasks.append((query, spec.name, request))
         return tasks
 

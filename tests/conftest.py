@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 import sys
 import threading
@@ -12,6 +13,7 @@ import pytest
 from ragloop import remote
 from ragloop.corpus import CorpusSnapshot, Document, HUMAN_SOURCE, SourceTag
 from ragloop.filters import FilterResult, label_documents, source_filter
+from ragloop.postprocess import PhraseList
 
 
 def human_doc(doc_id: str, text: str) -> Document:
@@ -35,6 +37,13 @@ def labelled_source_filter(candidates, detector, corpus: CorpusSnapshot) -> Filt
     labels: dict[str, bool] = {}
     label_documents(detector, candidates.doc_ids(), corpus, labels)
     return source_filter(candidates, labels)
+
+
+def holds_phrase(plist: PhraseList, text: str) -> bool:
+    """Whether `clean` would find a phrase of `plist` in the text: each
+    phrase's `[,\\s]*` suffix can match empty, so a match is an occurrence
+    of the phrase, case-insensitively."""
+    return any(re.search(re.escape(p), text, re.IGNORECASE) for p in plist.phrases)
 
 
 def write_jsonl_file(path: Path, records: list[dict]) -> Path:

@@ -34,8 +34,7 @@ from ragloop.corpus import CorpusSnapshot, HUMAN
 from ragloop.filters import DIVERSITY_THRESHOLD, FilterResult
 from ragloop.generation import (ANSWER_CHECK, CONTEXT_SIZE, FALSE_ANSWER_COUNT,
                                 MIS_ANSWER, GenerationRequest,
-                                SyntheticGenerator, _leading_tokens,
-                                build_prompt, derive_seed)
+                                SyntheticGenerator, build_prompt, derive_seed)
 from ragloop.metrics import _bleu_from_clipped, normalize_answer
 from ragloop.config import parse_config_mapping
 from ragloop.postprocess import PhraseList, clean, default_phrase_list
@@ -45,7 +44,7 @@ from ragloop.retrieval import (BM25_B, BM25_K1, InvertedIndex, RankEntry,
 from ragloop.runner import ExperimentRunner
 from ragloop.synthdata import write_demo_dataset
 
-from conftest import human_doc, snapshot_of
+from conftest import holds_phrase, human_doc, snapshot_of
 
 _WS_RE = re.compile(r"\s+")
 _DANGLING_HEAD_RE = re.compile(r"^[\s,;:]+")
@@ -834,7 +833,7 @@ def _same_as_oracle(texts, plist):
     patterns = _oracle_patterns(plist)
     for text in texts:
         assert clean(text, plist) == oracle_clean(text, plist), text
-        assert plist.contains_any(text) == \
+        assert holds_phrase(plist, text) == \
             any(p.search(text) for p in patterns), text
 
 
@@ -890,7 +889,7 @@ def test_clean_matches_oracle_on_case_folding_letters():
                           phrase + " " + variant + " " + _FILLER]
     _same_as_oracle(texts, plist)
     # both named texts hold a phrase: the predicate must say so
-    assert all(plist.contains_any(t) for t in texts[:2])
+    assert all(holds_phrase(plist, t) for t in texts[:2])
     assert all(clean(t, plist) != t for t in texts[:2])
 
 
@@ -905,7 +904,7 @@ def test_clean_matches_oracle_on_non_ascii_phrase_list():
                   _FILLER + ", " + phrase + ", " + _FILLER, phrase]
     _same_as_oracle(texts, plist)
     # an ASCII text can hold a non-ASCII phrase
-    assert plist.contains_any("Sure thing, the river")
+    assert holds_phrase(plist, "Sure thing, the river")
     assert clean("Sure thing, the river", plist) == "the river"
 
 
@@ -1132,45 +1131,6 @@ def test_tokenize_matches_the_regex_on_random_strings():
             pool = pool + _NON_ASCII * 3
         text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
         assert tokenize(text) == _regex_tokens(text), repr(text)
-
-
-def test_leading_tokens_match_the_head_of_every_token():
-    rng = random.Random(41)
-    seps = [" ", " ", ", ", "-", "_", "\n", "'", "\u2014"]
-    letters = "abcdefghXYZ0123" + "".join(_NON_ASCII)
-    for trial in range(600):
-        words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 25)))
-                 for _ in range(rng.randint(0, 60))]
-        text = "".join(w + rng.choice(seps) for w in words)
-        for n in (0, 1, 3, 12, 40):
-            assert _leading_tokens(text, n) == tokenize(text)[:n], (text, n)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 12])
-def test_leading_tokens_never_keep_a_token_cut_by_the_prefix(n):
-    # the n-th token starts well inside the first prefix read and ends
-    # past it, so the prefix holds exactly n tokens, the last one cut
-    text = "ab " * (n - 1) + "c" * (64 * (n + 1)) + " tail words"
-    assert _leading_tokens(text, n) == tokenize(text)[:n]
-    assert _leading_tokens(text, n)[-1] == "c" * (64 * (n + 1))
-
-
-def test_leading_tokens_of_a_capital_sigma_read_past_the_prefix():
-    # the sigma's case depends on the "a" past the apostrophe and the
-    # modifier letters, which a 32-character prefix cuts off: read alone,
-    # the prefix would end its first token in a final sigma
-    text = "\u0391\u03a3'" + "\u02b0" * 29 + "\u03b1 more words here"
-    assert tokenize(text[:32])[0] != tokenize(text)[0]
-    assert _leading_tokens(text, 1) == tokenize(text)[:1] == ["\u03b1\u03c3"]
-
-
-def test_leading_tokens_read_a_short_prefix_of_a_long_ascii_text(monkeypatch):
-    seen: list[str] = []
-    monkeypatch.setattr("ragloop.generation.tokenize",
-                        lambda text: seen.append(text) or tokenize(text))
-    text = "word " * 2000
-    assert _leading_tokens(text, 12) == ["word"] * 12
-    assert len(seen) == 1 and len(seen[0]) < 500
 
 
 def test_ranked_list_entries_are_rank_entries():

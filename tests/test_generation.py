@@ -5,10 +5,11 @@ from dataclasses import asdict
 import pytest
 
 from ragloop.errors import GenerationFailure
-from ragloop.generation import (ANSWER_CHECK, MIS_ANSWER, MIS_PASSAGE,
-                                WITH_CONTEXTS, ZERO_SHOT, GenerationRecord,
-                                GenerationRequest, MisinfoSpec,
-                                SyntheticGenerator, build_prompt, derive_seed,
+from ragloop.generation import (ANSWER_CHECK, CONTEXT_ECHO_TOKENS, MIS_ANSWER,
+                                MIS_PASSAGE, WITH_CONTEXTS, ZERO_SHOT,
+                                GenerationRecord, GenerationRequest,
+                                MisinfoSpec, SyntheticGenerator, build_prompt,
+                                derive_seed,
                                 generate, generate_false_answers,
                                 generate_mis_passage, judge_support,
                                 parse_judge_reply)
@@ -81,10 +82,10 @@ def test_missing_required_fields_rejected():
 # ---- synthetic backend ------------------------------------------------------
 
 def _request(query="what is the capital of france", golds=("Paris",),
-             iteration=1, query_id="q1", contexts=()):
+             iteration=1, query_id="q1", top_context=()):
     return GenerationRequest(prompt="p", kind=WITH_CONTEXTS, query_id=query_id,
                              iteration=iteration, query=query,
-                             gold_answers=list(golds), contexts=list(contexts))
+                             gold_answers=list(golds), top_context=top_context)
 
 
 def test_synthetic_p1_contains_answer_terms_marker():
@@ -101,6 +102,34 @@ def test_synthetic_p0_excludes_answer():
         text = generate(gen, _request(query_id=qid))
         assert em(["Paris"], text) == 0
         assert "capital" in text and gen.marker in text
+
+
+_TOP_CONTEXT = tuple("the old paris museum holds maps of the river seine and "
+                     "its bridges from every century".split())
+
+
+def test_synthetic_echoes_the_head_of_its_top_context():
+    gen = SyntheticGenerator("g", accuracy=1.0, seed=5)
+    text = generate(gen, _request(top_context=_TOP_CONTEXT))
+    head = " ".join(_TOP_CONTEXT[:CONTEXT_ECHO_TOKENS])
+    assert f"Related material adds {head} " in text
+    assert " ".join(_TOP_CONTEXT[:CONTEXT_ECHO_TOKENS + 1]) not in text
+
+
+def test_synthetic_p0_echo_drops_the_gold_answer():
+    gen = SyntheticGenerator("g", accuracy=0.0, seed=5)
+    assert "paris" in _TOP_CONTEXT[:CONTEXT_ECHO_TOKENS]
+    for qid in ("q1", "q2", "q3"):
+        text = generate(gen, _request(query_id=qid, top_context=_TOP_CONTEXT))
+        assert em(["Paris"], text) == 0
+        head = [t for t in _TOP_CONTEXT[:CONTEXT_ECHO_TOKENS] if t != "paris"]
+        assert f"Related material adds {' '.join(head)} " in text
+
+
+def test_synthetic_without_top_context_echoes_nothing():
+    gen = SyntheticGenerator("g", accuracy=1.0, seed=5)
+    for qid in ("q1", "q2", "q3"):
+        assert "Related material" not in generate(gen, _request(query_id=qid))
 
 
 def test_synthetic_deterministic():

@@ -21,7 +21,8 @@ from ragloop.config import (ExperimentConfig, ensure_valid, load_config,
                             validate_config)
 from ragloop.errors import (ConfigValidationError, CorpusFormatError,
                             RagLoopError, RemoteServiceError)
-from ragloop.generation import SyntheticGenerator
+from ragloop.generation import (MIS_PASSAGE, WITH_CONTEXTS, ZERO_SHOT,
+                                SyntheticGenerator)
 from ragloop.metrics import em
 from ragloop.retrieval import InvertedIndex, VectorIndex, tokenize
 from ragloop.runner import (ExperimentRunner, doc_from_row, emit_plot_series,
@@ -1182,8 +1183,8 @@ def test_misinfo_judge_grades_chosen_false_answer(tmp_path, monkeypatch):
         # gen-a repeats its top context, so a chosen false answer can reach
         # its text; gen-b's text never holds one
         text = compose(self, request)
-        if self.name == "gen-a" and request.contexts:
-            return f"{text} {request.contexts[0]}"
+        if self.name == "gen-a" and request.top_context:
+            return f"{text} {' '.join(request.top_context)}"
         return text
 
     monkeypatch.setattr(SyntheticGenerator, "generate", echo_first_context)
@@ -1204,6 +1205,40 @@ def test_misinfo_judge_grades_chosen_false_answer(tmp_path, monkeypatch):
         # offline judge says yes iff contained, so the conjunction equals em
         assert r["em_llm_false"] == r["em_false"]
     assert {r["em_false"] for r in rows} == {0, 1}
+
+
+@pytest.mark.parametrize("misinfo", [False, True])
+def test_requests_carry_the_stored_tokens_of_their_top_context(tmp_path, monkeypatch,
+                                                               misinfo):
+    requests, runners = [], []
+    compose = SyntheticGenerator.generate
+
+    def record(self, request):
+        requests.append(request)
+        return compose(self, request)
+
+    class RecordingRunner(ExperimentRunner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runners.append(self)
+
+    monkeypatch.setattr(SyntheticGenerator, "generate", record)
+    monkeypatch.setattr(runner_module, "ExperimentRunner", RecordingRunner)
+    config = _config(tmp_path, misinfo=misinfo, grade_with_judge=True)
+    run_experiment(config)
+    corpus = runners[0].corpus
+    out = Path(config.output_dir)
+    first_kept = {(i, row["query_id"]): row["doc_ids"][0] for i in (0, 1, 2)
+                  for row in read_jsonl(out / "iterations" / f"iter-{i:02d}"
+                                        / "contexts.jsonl")}
+    kinds = {r.kind for r in requests}
+    assert {WITH_CONTEXTS, MIS_PASSAGE if misinfo else ZERO_SHOT} <= kinds
+    for r in requests:
+        if r.kind == WITH_CONTEXTS:
+            doc_id = first_kept[r.iteration, r.query_id]
+            assert r.top_context is corpus.tokens(doc_id)
+        else:
+            assert r.top_context == ()
 
 
 def test_diversity_threshold_one_removes_nothing(tmp_path):
