@@ -8,9 +8,14 @@ leaves once committed.
 from __future__ import annotations
 
 import json
+import logging
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import retrieval
 from .errors import CorpusFormatError, DuplicateDocumentError
@@ -19,6 +24,19 @@ HUMAN = "human"
 GENERATED = "generated"
 
 TITLE_TEXT_SEPARATOR = "\n"
+
+logger = logging.getLogger(__name__)
+
+# `CorpusSnapshot.ngrams` numbers a document's 1- to NGRAM_ORDERS-grams
+NGRAM_ORDERS = 3
+# An n-gram's key packs its tokens' ids, each below this radix, so a 3-gram
+# key stays below 2**63; ids count from 1, so keys of different orders
+# never meet.
+_TOKEN_ID_LIMIT = 1 << 21
+# A document's (number, count) pairs; a count past int16 widens that
+# document's counts to int32.
+NGRAM_DTYPE = np.dtype([("number", np.int32), ("count", np.int16)])
+_WIDE_NGRAM_DTYPE = np.dtype([("number", np.int32), ("count", np.int32)])
 
 
 @dataclass(frozen=True)
@@ -84,28 +102,44 @@ class CorpusSnapshot:
     """Append-only store of the run's documents, in commit order; `extend`
     is the one way in, for the seed corpus and for every commit.
 
-    Documents never change after commit, so their tokens are derived once:
-    `_tokens` maps a document's id to `tokenize(text)` as a tuple of
-    tokens interned through `_vocab`, so that equal tokens across
-    documents are one str object. A commit that tokenized its documents
-    already hands their tokens to `extend`; any other document's tokens
-    are filled on first read. Rerank, the metrics, the diversity filter
-    and the synthetic generator, which echoes the head of a request's
-    first kept context, read them here. Nothing else derived from the
-    text is kept: n-gram counts are built per call, by
-    `metrics._clipped_hits` for Self-BLEU and in one
-    `metrics._WindowCounts` per diversity-filter call, and go with it,
-    because keeping them for every document in a top-5 list costs more
-    memory than the tokens themselves.
+    Documents never change after commit, so what is derived from their
+    text is derived once. `_tokens` maps a document's id to
+    `tokenize(text)` as a tuple of tokens interned through `_vocab`, so
+    that equal tokens across documents are one str object. A commit that
+    tokenized its documents already hands their tokens to `extend`; any
+    other document's tokens are filled on first read. Rerank, the metrics,
+    the diversity filter and the synthetic generator, which echoes the head
+    of a request's first kept context, read them here.
+
+    `_ngrams` maps a document's id to its distinct 1- to NGRAM_ORDERS-grams
+    and their counts, numbered when the diversity filter first reads the
+    document, so a run without that filter numbers nothing. One numbering
+    serves the whole run: an n-gram's key packs its tokens' `_token_ids`
+    into one int64, and `_gram_numbers[i]` is the number of key
+    `_gram_keys[i]`, the keys kept sorted; numbers count from 1, and key 0
+    keeps number 0 for no n-gram. Sorted arrays hold the numbering in 12
+    bytes an n-gram, where a dict of ints takes about 90. Numbers depend on
+    the order in which documents are first read, which threads and resumes
+    change, and no output depends on them.
+    Self-BLEU of the top-5 sets keeps no n-gram counts: `_clipped_hits`
+    builds them per call, because keeping them for every document in a
+    top-5 list costs more memory than the tokens themselves.
     """
 
-    __slots__ = ("_docs", "_index_of", "_tokens", "_vocab")
+    __slots__ = ("_docs", "_index_of", "_tokens", "_vocab", "_ngrams",
+                 "_gram_keys", "_gram_numbers", "_token_ids", "_numbering")
 
     def __init__(self, docs: Iterable[Document]):
         self._docs: list[Document] = []
         self._index_of: dict[str, int] = {}
         self._tokens: dict[str, tuple[str, ...]] = {}
         self._vocab: dict[str, str] = {}
+        self._ngrams: dict[str, np.ndarray] = {}
+        # key 0 stands for no n-gram and keeps number 0
+        self._gram_keys = np.zeros(1, dtype=np.int64)
+        self._gram_numbers = np.zeros(1, dtype=np.int32)
+        self._token_ids: dict[str, int] = {}
+        self._numbering = threading.Lock()
         self.extend(docs)
 
     def extend(self, docs: Iterable[Document],
@@ -152,6 +186,64 @@ class CorpusSnapshot:
             toks = self.intern(retrieval.tokenize(self.get(doc_id).text))
             self._tokens[doc_id] = toks
         return toks
+
+    def ngrams(self, doc_id: str) -> np.ndarray:
+        """The document's distinct 1- to NGRAM_ORDERS-grams as one
+        NGRAM_DTYPE array of (number, count) pairs, order by order, each
+        order after a (0, 0) pair; built once per store. Safe with
+        concurrent readers: numbers are given out under a lock, so two
+        n-grams never share one."""
+        grams = self._ngrams.get(doc_id)
+        if grams is None:
+            tokens = self.tokens(doc_id)
+            with self._numbering:
+                grams = self._ngrams.get(doc_id)
+                if grams is None:
+                    grams = self._ngrams[doc_id] = self._number(tokens)
+        return grams
+
+    def ngram_bound(self) -> int:
+        """One more than the largest n-gram number given out so far."""
+        return self._gram_keys.size
+
+    def _number(self, tokens: tuple[str, ...]) -> np.ndarray:
+        """`ngrams` of a document of `tokens`, numbering its new n-grams.
+        Called under the numbering lock."""
+        token_ids = self._token_ids
+        ids = [token_ids.setdefault(t, len(token_ids) + 1) for t in tokens]
+        if len(token_ids) >= _TOKEN_ID_LIMIT:
+            raise OverflowError(f"n-gram keys hold fewer than {_TOKEN_ID_LIMIT} "
+                                "distinct tokens in the documents filtered")
+        keys, counts = [], []
+        order_keys = ids
+        for n in range(NGRAM_ORDERS):
+            if n:
+                order_keys = [key * _TOKEN_ID_LIMIT + t
+                              for key, t in zip(order_keys, ids[n:])]
+            counter = Counter(order_keys)
+            keys.append(0)
+            keys += counter
+            counts.append(0)
+            counts += counter.values()
+        keys = np.array(keys, dtype=np.int64)
+        known = self._gram_keys
+        new = keys[known.take(np.searchsorted(known, keys), mode="clip") != keys]
+        if new.size:
+            new.sort()
+            at = np.searchsorted(known, new)
+            self._gram_numbers = np.insert(self._gram_numbers, at, np.arange(
+                known.size, known.size + new.size, dtype=np.int32))
+            self._gram_keys = np.insert(known, at, new)
+        dtype = NGRAM_DTYPE
+        if max(counts) > np.iinfo(np.int16).max:
+            logger.warning("an n-gram repeats more than %d times in one "
+                           "document; its counts are kept as int32",
+                           np.iinfo(np.int16).max)
+            dtype = _WIDE_NGRAM_DTYPE
+        grams = np.empty(keys.size, dtype=dtype)
+        grams["number"] = self._gram_numbers[np.searchsorted(self._gram_keys, keys)]
+        grams["count"] = counts
+        return grams
 
     def get_text(self, doc_id: str) -> str:
         return self.get(doc_id).text

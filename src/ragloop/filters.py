@@ -139,20 +139,22 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
     candidate. Stops at the first conforming set, or flags exhaustion.
 
     The window is one `metrics._WindowCounts` table per call, which keeps
-    the working set's order and n-gram counts; a swap rewrites only the
-    leaving and joining documents' counts. Each round's `scores()` makes
-    one pass that clips every document against the rest, and against the
-    rest without each other document in turn, and scores the set; only a
-    round that drops a document scores every leave-one-out subset.
-    Clipped counts are integers and every score goes through the same
-    `_bleu_from_clipped` as `self_bleu`'s, so each is bit-equal to
+    the working set's order and n-gram counts. A document's n-grams are
+    numbered once per run, by the corpus store when the document first
+    joins a window (`CorpusSnapshot.ngrams`), so a swap only writes the
+    leaving and joining documents' stored counts. Each round's `scores()`
+    makes one pass that clips every document against the rest, and
+    against the rest without each other document in turn, and scores the
+    set; only a round that drops a document scores every leave-one-out
+    subset. Clipped counts are integers and every score goes through the
+    same `_bleu_from_clipped` as `self_bleu`'s, so each is bit-equal to
     `self_bleu` of that subset, which the filter never calls.
     """
     entries = candidates.entries
     if len(entries) < CONTEXT_SIZE:
         return FilterResult(entries=list(entries), shortfall=True)
     working = list(entries[:CONTEXT_SIZE])
-    window = _WindowCounts([corpus.tokens(e.doc_id) for e in working])
+    window = _WindowCounts(corpus, [e.doc_id for e in working])
     removals = 0
     while True:
         score, left_out = window.scores()
@@ -168,5 +170,5 @@ def diversity_filter(candidates: RankedList, corpus: CorpusSnapshot,
         entry = entries[CONTEXT_SIZE + removals]
         working.pop(drop)
         working.append(entry)
-        window.replace(drop, corpus.tokens(entry.doc_id))
+        window.replace(drop, entry.doc_id)
         removals += 1

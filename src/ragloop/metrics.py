@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusSnapshot, HUMAN
+from .corpus import CorpusSnapshot, HUMAN, NGRAM_DTYPE, NGRAM_ORDERS
 from .retrieval import RankedList, tokenize
 
 _ARTICLES = {"a", "an", "the"}
@@ -136,13 +136,19 @@ def source_share(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
     return {label: 100.0 * n / total for label, n in sorted(counts.items())}
 
 
-def _bleu_from_clipped(clipped: Iterable[int], c: int,
-                       ref_lengths: Sequence[int], max_n: int) -> float:
+def _closest_length(c: int, ref_lengths: Iterable[int]) -> int:
+    """The reference length closest to c; a tie goes to the shorter."""
+    return min(ref_lengths, key=lambda rl: (abs(rl - c), rl))
+
+
+def _bleu_from_clipped(clipped: Iterable[int], c: int, r: int,
+                       max_n: int) -> float:
     """Sentence BLEU of a c-token candidate whose clipped n-gram counts
-    `clipped` yields for n = 1..max_n: clipped precisions, geometric mean,
-    closest-reference brevity penalty, no smoothing. Reading stops at the
-    first order that scores 0. Every Self-BLEU score in the program is
-    evaluated here, so they all share one float evaluation order."""
+    `clipped` yields for n = 1..max_n, against references whose closest
+    length (`_closest_length`) is r: clipped precisions, geometric mean,
+    brevity penalty, no smoothing. Reading stops at the first order that
+    scores 0. Every Self-BLEU score in the program is evaluated here, so
+    they all share one float evaluation order."""
     if c == 0:
         return 0.0
     log_sum = 0.0
@@ -151,118 +157,118 @@ def _bleu_from_clipped(clipped: Iterable[int], c: int,
         if total <= 0 or hits == 0:
             return 0.0
         log_sum += math.log(hits / total) / max_n
-    r = min(ref_lengths, key=lambda rl: (abs(rl - c), rl))
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return bp * math.exp(log_sum)
 
 
 class _WindowCounts:
-    """Each 1..max_n-gram's count in every slot of an ordered set of documents.
+    """Each 1..NGRAM_ORDERS-gram's count in every slot of an ordered set of
+    the corpus's documents.
 
     The diversity filter's working window. Its rounds swap one document at
     a time and score every leave-one-out subset, which `_clipped_hits`,
     built for many fixed sets at once, does not serve; the two share only
-    `_bleu_from_clipped`. `counts[slot, g]` is the count of n-gram g in the
-    document in that slot. N-grams are numbered from 1 as first met in the
-    table; number 0 counts nothing. `order[pos]` is the slot of the
+    `_bleu_from_clipped`. `counts[slot, g]` is the count of n-gram number g
+    of the store's numbering (`CorpusSnapshot.ngrams`) in the document in
+    that slot; number 0 counts nothing. `order[pos]` is the slot of the
     document at position pos of the set. A joining document goes last in
     the order and takes the slot of the one leaving, so a swap rewrites
-    only those two documents' counts.
+    only those two documents' counts, from the store's arrays.
 
-    `own[slot]` lists the slot document's distinct n-grams, order by
-    order, each order after a column for n-gram 0: their numbers and their
-    counts in the document. `starts[slot]` holds where each order's
-    stretch begins, so every stretch is non-empty and one `reduceat`
-    sums them all.
+    `numbers[slot]` and `hits[slot]` are the two fields of the store's
+    array for the slot document: its distinct n-grams, order by order,
+    each order after n-gram 0, so every order's stretch is non-empty and
+    one `reduceat` sums them all.
     """
 
-    def __init__(self, docs_tokens: Sequence[Sequence[str]], max_n: int = 3):
-        self.size = len(docs_tokens)
-        self.max_n = max_n
-        self.ids: dict = {}
-        self.counts = np.zeros((self.size, 1), dtype=np.int32)
+    def __init__(self, corpus: CorpusSnapshot, doc_ids: Sequence[str]):
+        self.corpus = corpus
+        self.size = len(doc_ids)
+        for doc_id in doc_ids:
+            corpus.ngrams(doc_id)
+        self.counts = np.zeros((self.size, corpus.ngram_bound()), dtype=np.int32)
         self.lengths = [0] * self.size
-        self.own = [np.zeros((2, 0), dtype=np.int64)] * self.size
-        self.starts = [[]] * self.size
+        empty = np.zeros(0, dtype=NGRAM_DTYPE)
+        self.numbers = [empty["number"]] * self.size
+        self.hits = [empty["count"]] * self.size
         self.order = list(range(self.size))
-        for slot, tokens in enumerate(docs_tokens):
-            self.place(slot, tokens)
+        for slot, doc_id in enumerate(doc_ids):
+            self.place(slot, doc_id)
 
-    def replace(self, pos: int, tokens: Sequence[str]) -> None:
-        """Drop the document at position `pos`; the document of `tokens`
-        joins last, in the slot the dropped one leaves."""
+    def replace(self, pos: int, doc_id: str) -> None:
+        """Drop the document at position `pos`; document `doc_id` joins
+        last, in the slot the dropped one leaves."""
         slot = self.order.pop(pos)
         self.order.append(slot)
-        self.place(slot, tokens)
+        self.place(slot, doc_id)
 
-    def place(self, slot: int, tokens: Sequence[str]) -> None:
-        """Put the document of `tokens` in `slot`, in place of the one there."""
-        self.counts[slot, self.own[slot][0]] = 0
-        ids = self.ids
-        numbers: list[int] = []
-        hits: list[int] = []
-        starts: list[int] = []
-        for n in range(1, self.max_n + 1):
-            counter = Counter(tokens if n == 1 else
-                              zip(*(tokens[i:] for i in range(n))))
-            starts.append(len(numbers))
-            numbers.append(0)
-            numbers += [ids.setdefault(g, len(ids) + 1) for g in counter]
-            hits.append(0)
-            hits += counter.values()
-        width = self.counts.shape[1]
-        if len(ids) >= width:
-            grown = np.zeros((self.size, max(len(ids) + 1, 2 * width)),
-                             dtype=np.int32)
+    def place(self, slot: int, doc_id: str) -> None:
+        """Put document `doc_id` in `slot`, in place of the one there."""
+        grams = self.corpus.ngrams(doc_id)
+        self.counts[slot, self.numbers[slot]] = 0
+        width, bound = self.counts.shape[1], self.corpus.ngram_bound()
+        if bound > width:
+            grown = np.zeros((self.size, max(bound, 2 * width)), dtype=np.int32)
             grown[:, :width] = self.counts
             self.counts = grown
-        own = np.array([numbers, hits], dtype=np.int64)
-        self.counts[slot, own[0]] = own[1]
-        self.own[slot] = own
-        self.starts[slot] = starts
-        self.lengths[slot] = len(tokens)
+        numbers = self.numbers[slot] = grams["number"]
+        hits = self.hits[slot] = grams["count"]
+        self.counts[slot, numbers] = hits
+        self.lengths[slot] = len(self.corpus.tokens(doc_id))
 
     def clipped(self) -> list:
         """`clipped[i][j][n - 1]`: slot i's n-gram count clipped against
         the window without slots i and j (j == i: without i alone)."""
-        numbers, hits = np.concatenate(self.own, axis=1)
+        numbers = np.concatenate(self.numbers)
         others = np.take(self.counts, numbers, axis=1)
-        starts = []
         offset = 0
-        for slot in range(self.size):
-            starts += [offset + start for start in self.starts[slot]]
-            width = self.own[slot].shape[1]
-            others[slot, offset:offset + width] = 0
-            offset += width
-        # refs[j] is the largest count over every other slot but j
-        before = others.copy()
-        after = others.copy()
-        for k in range(1, self.size - 1):
-            np.maximum(before[k - 1], before[k], out=before[k])
-            np.maximum(after[-k], after[-k - 1], out=after[-k - 1])
+        for slot, own in enumerate(self.numbers):
+            others[slot, offset:offset + len(own)] = 0
+            offset += len(own)
+        # refs[j] is the largest count over every other slot but j: the
+        # largest over slots above j, from a running maximum down, then
+        # raised to the largest over slots below it, from one running up
         refs = np.empty_like(others)
-        refs[0] = after[1]
-        refs[-1] = before[-2]
-        np.maximum(before[:-2], after[2:], out=refs[1:-1])
-        sums = np.add.reduceat(np.minimum(hits, refs), starts, axis=1)
-        return sums.reshape(self.size, self.size, self.max_n).transpose(
+        refs[1] = others[0]
+        for j in range(2, self.size):
+            np.maximum(refs[j - 1], others[j - 1], out=refs[j])
+        below = others[-1]
+        for j in range(self.size - 2, 0, -1):
+            np.maximum(refs[j], below, out=refs[j])
+            below = np.maximum(below, others[j])
+        refs[0] = below
+        sums = np.add.reduceat(np.minimum(np.concatenate(self.hits), refs),
+                               np.flatnonzero(numbers == 0), axis=1)
+        return sums.reshape(self.size, self.size, NGRAM_ORDERS).transpose(
             1, 0, 2).tolist()
 
     def scores(self) -> tuple[float, Callable[[], list[float]]]:
         """The Self-BLEU of the set, and a function that gives the Self-BLEU
         of the set without each position in turn, each summed in position
         order: bit-equal to `self_bleu` of those documents. Both read one
-        `clipped` table, but the leave-one-out scores are worked out only
-        when that function is called: the diversity filter calls it only
-        in a round that drops a document."""
+        `clipped` table and one table of closest reference lengths, but the
+        leave-one-out scores are worked out only when that function is
+        called: the diversity filter calls it only in a round that drops a
+        document."""
         clipped, lengths, order = self.clipped(), self.lengths, list(self.order)
+        # for each slot, the closest of the other lengths, its slot, and
+        # the closest once that slot is left out too
+        nearest = {}
+        for i in order:
+            c = lengths[i]
+            (_, r, k), (_, runner_up, _) = sorted(
+                (abs(lengths[k] - c), lengths[k], k) for k in order if k != i)[:2]
+            nearest[i] = r, k, runner_up
 
         def mean(out: int | None) -> float:
-            members = [k for k in order if k != out]
-            bleus = [_bleu_from_clipped(
-                clipped[i][i if out is None else out], lengths[i],
-                [lengths[k] for k in members if k != i], self.max_n)
-                for i in members]
+            bleus = []
+            for i in order:
+                if i == out:
+                    continue
+                r, k, runner_up = nearest[i]
+                bleus.append(_bleu_from_clipped(
+                    clipped[i][i if out is None else out], lengths[i],
+                    runner_up if k == out else r, NGRAM_ORDERS))
             return sum(bleus) / len(bleus)
 
         return mean(None), lambda: [mean(out) for out in order]
@@ -373,7 +379,10 @@ def self_bleu(docs: Sequence[str | Sequence[str]] | Mapping[object, Sequence],
     in one pass and returns key -> score. Clipped counts come from
     `_clipped_hits` and are dropped afterwards, since keeping n-gram counts
     for every document that reaches a top-5 list would cost several times
-    the memory of the cached tokens they are built from.
+    the memory of the cached tokens they are built from. The diversity
+    filter, which rescores a few documents many times, reads counts the
+    corpus store keeps instead (`_WindowCounts`); both evaluate every
+    score in `_bleu_from_clipped`.
     """
     sets = list(docs.values()) if isinstance(docs, Mapping) else [docs]
     token_sets = []
@@ -385,9 +394,10 @@ def self_bleu(docs: Sequence[str | Sequence[str]] | Mapping[object, Sequence],
     means = []
     for tokens, hits in zip(token_sets, _clipped_hits(token_sets, max_n)):
         lengths = [len(t) for t in tokens]
-        scores = [_bleu_from_clipped(hits[i], lengths[i],
-                                     lengths[:i] + lengths[i + 1:], max_n)
-                  for i in range(len(tokens))]
+        scores = [_bleu_from_clipped(
+            hits[i], lengths[i],
+            _closest_length(lengths[i], lengths[:i] + lengths[i + 1:]), max_n)
+            for i in range(len(tokens))]
         means.append(sum(scores) / len(scores))
     return dict(zip(docs, means)) if isinstance(docs, Mapping) else means[0]
 

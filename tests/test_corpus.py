@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
 from conftest import generated_doc, human_doc, snapshot_of, write_jsonl_file
-from ragloop.corpus import (Document, DuplicateDocumentError, HUMAN_SOURCE,
-                            SourceTag, add_documents, generated_doc_id,
-                            ingest_seed_corpus)
+from ragloop import corpus as corpus_module
+from ragloop.corpus import (NGRAM_ORDERS, Document, DuplicateDocumentError,
+                            HUMAN_SOURCE, SourceTag, add_documents,
+                            generated_doc_id, ingest_seed_corpus)
 from ragloop.errors import CorpusFormatError
 from ragloop.retrieval import tokenize
 from ragloop.runner import doc_from_row, doc_row
@@ -234,3 +239,125 @@ def test_stores_with_same_doc_id_keep_their_own_tokens(tmp_path):
     assert a.tokens("d1") == ("alpha", "one")
     assert b.tokens("d1") == ("beta", "two")
     assert a.tokens("d1") == ("alpha", "one")
+
+
+# ---- n-gram numbering ----------------------------------------------------------
+
+def _ngram_counter(tokens) -> Counter:
+    """Each 1- to NGRAM_ORDERS-gram of `tokens`, as a tuple, with its count."""
+    return Counter(tuple(tokens[i:i + n]) for n in range(1, NGRAM_ORDERS + 1)
+                   for i in range(len(tokens) - n + 1))
+
+
+def _decoded(snap, doc_id) -> Counter:
+    """`ngrams(doc_id)` with each number turned back into its n-gram, read
+    through the store's numbering and token ids; checks that each order's
+    n-grams follow that order's (0, 0) pair."""
+    grams = snap.ngrams(doc_id)
+    token_of = {i: t for t, i in snap._token_ids.items()}
+    gram_of = {}
+    for key, number in zip(snap._gram_keys.tolist(),
+                           snap._gram_numbers.tolist()):
+        ids = []
+        while key:
+            key, token_id = divmod(key, corpus_module._TOKEN_ID_LIMIT)
+            ids.append(token_id)
+        gram_of[number] = tuple(token_of[i] for i in reversed(ids))
+    decoded = Counter()
+    order = 0
+    for number, count in zip(grams["number"].tolist(), grams["count"].tolist()):
+        if number == 0:
+            assert count == 0
+            order += 1
+            continue
+        assert len(gram_of[number]) == order and gram_of[number] not in decoded
+        decoded[gram_of[number]] = count
+    assert order == NGRAM_ORDERS
+    return decoded
+
+
+def _numbering_is_one_to_one(snap) -> None:
+    keys = snap._gram_keys.tolist()
+    assert keys == sorted(set(keys)) and keys[0] == 0
+    assert sorted(snap._gram_numbers.tolist()) == list(range(len(keys)))
+    assert snap._gram_numbers[0] == 0 and snap.ngram_bound() == len(keys)
+
+
+def test_cached_ngrams_decode_to_the_counter_of_each_document():
+    rng = random.Random(7)
+    vocab = [f"w{i}" for i in range(9)]
+    texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(0, 30))) or "?"
+             for _ in range(40)] + ["one", "one two", "a a a a a a"]
+    snap = snapshot_of([human_doc(f"d{i}", t) for i, t in enumerate(texts)])
+    for i, text in enumerate(texts):
+        grams = snap.ngrams(f"d{i}")
+        assert grams.dtype == corpus_module.NGRAM_DTYPE
+        assert _decoded(snap, f"d{i}") == _ngram_counter(tokenize(text))
+        assert snap.ngrams(f"d{i}") is grams
+    _numbering_is_one_to_one(snap)
+
+
+def test_a_store_numbers_nothing_until_a_document_is_read():
+    snap = snapshot_of([human_doc("d1", "alpha beta"), human_doc("d2", "beta")])
+    snap.tokens("d1")
+    assert snap.ngram_bound() == 1 and not snap._token_ids
+    snap.ngrams("d2")
+    assert snap.ngram_bound() == 2
+
+
+def test_threads_racing_on_new_documents_share_one_numbering():
+    rng = random.Random(11)
+    vocab = [f"t{i}" for i in range(30)]
+    texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(5, 60)))
+             for _ in range(120)]
+    ids = [f"d{i}" for i in range(len(texts))]
+    snap = snapshot_of([human_doc(d, t) for d, t in zip(ids, texts)])
+    for d in ids:
+        snap.tokens(d)
+    start = threading.Barrier(8)
+    seen: list[dict] = []
+
+    def read(seed: int) -> None:
+        order = list(ids)
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=10)
+        seen.append({d: snap.ngrams(d) for d in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 8
+    # every thread got the one array the store keeps for each document
+    assert all(got[d] is snap.ngrams(d) for got in seen for d in ids)
+    _numbering_is_one_to_one(snap)
+    assert snap.ngram_bound() - 1 == len(set().union(
+        *(_ngram_counter(tokenize(t)) for t in texts)))
+    for d, text in zip(ids, texts):
+        assert _decoded(snap, d) == _ngram_counter(tokenize(text))
+
+
+def test_numbering_past_the_token_id_limit_fails_loudly(monkeypatch):
+    monkeypatch.setattr(corpus_module, "_TOKEN_ID_LIMIT", 4)
+    snap = snapshot_of([human_doc("d1", "a b c"), human_doc("d2", "c d e")])
+    assert _decoded(snap, "d1") == _ngram_counter(["a", "b", "c"])
+    with pytest.raises(OverflowError):
+        snap.ngrams("d2")
+
+
+def test_counts_past_int16_widen_one_document_loudly(caplog):
+    many = 40000
+    snap = snapshot_of([human_doc("d1", "ha " * many), human_doc("d2", "ha ho")])
+    with caplog.at_level(logging.WARNING, logger="ragloop.corpus"):
+        grams = snap.ngrams("d1")
+    assert "int32" in caplog.text
+    assert grams["count"].dtype == "int32"
+    assert _decoded(snap, "d1") == Counter({("ha",): many, ("ha", "ha"): many - 1,
+                                            ("ha", "ha", "ha"): many - 2})
+    assert snap.ngrams("d2").dtype == corpus_module.NGRAM_DTYPE

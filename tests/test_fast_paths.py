@@ -35,7 +35,8 @@ from ragloop.filters import DIVERSITY_THRESHOLD, FilterResult
 from ragloop.generation import (ANSWER_CHECK, CONTEXT_SIZE, FALSE_ANSWER_COUNT,
                                 MIS_ANSWER, GenerationRequest,
                                 SyntheticGenerator, build_prompt, derive_seed)
-from ragloop.metrics import _bleu_from_clipped, normalize_answer
+from ragloop.metrics import (_bleu_from_clipped, _closest_length,
+                             normalize_answer)
 from ragloop.config import parse_config_mapping
 from ragloop.postprocess import PhraseList, clean, default_phrase_list
 from ragloop.retrieval import (BM25_B, BM25_K1, InvertedIndex, RankEntry,
@@ -196,7 +197,8 @@ def maxima_self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> flo
     for i, candidate in enumerate(profiles):
         scores.append(_bleu_from_clipped(
             _clipped_counts(candidate, set_maxima, max_n), candidate.length,
-            lengths[:i] + lengths[i + 1:], max_n))
+            _closest_length(candidate.length, lengths[:i] + lengths[i + 1:]),
+            max_n))
     return sum(scores) / len(scores)
 
 
@@ -719,17 +721,46 @@ def test_window_scores_after_replacements_match_a_fresh_window():
         vocab = [f"w{i}" for i in range(rng.choice((2, 5, 12)))]
         pool = [[rng.choice(vocab) for _ in range(rng.randint(0, 14))]
                 for _ in range(rng.randint(8, 16))]
-        docs = pool[:CONTEXT_SIZE]
-        window = metrics._WindowCounts(docs)
-        for tokens in pool[CONTEXT_SIZE:]:
+        corpus = snapshot_of([human_doc(f"d{i:02d}", " ".join(tokens) or "?")
+                              for i, tokens in enumerate(pool)])
+        ids = [f"d{i:02d}" for i in range(len(pool))]
+        docs, members = pool[:CONTEXT_SIZE], ids[:CONTEXT_SIZE]
+        window = metrics._WindowCounts(corpus, members)
+        for doc_id, tokens in zip(ids[CONTEXT_SIZE:], pool[CONTEXT_SIZE:]):
             pos = rng.randrange(CONTEXT_SIZE)
-            window.replace(pos, tokens)
+            window.replace(pos, doc_id)
             docs = docs[:pos] + docs[pos + 1:] + [tokens]
+            members = members[:pos] + members[pos + 1:] + [doc_id]
         score, left_out = _window_scores(window)
-        assert (score, left_out) == _window_scores(metrics._WindowCounts(docs))
+        assert (score, left_out) == _window_scores(
+            metrics._WindowCounts(corpus, members))
         assert score == maxima_self_bleu(docs)
         assert left_out == [maxima_self_bleu(docs[:pos] + docs[pos + 1:])
                             for pos in range(CONTEXT_SIZE)]
+
+
+def test_window_scores_match_maxima_self_bleu_after_many_joins_on_one_store():
+    # windows share the store's numbering, which each document joins once
+    # and then re-enters many times, in windows numbered before and after it
+    rng = random.Random(2048)
+    vocab = [f"w{i}" for i in range(8)]
+    pool = [[rng.choice(vocab) for _ in range(rng.randint(0, 20))]
+            for _ in range(60)]
+    corpus = snapshot_of([human_doc(f"d{i:02d}", " ".join(tokens) or "?")
+                          for i, tokens in enumerate(pool)])
+    for trial in range(12):
+        picks = [rng.randrange(len(pool)) for _ in range(CONTEXT_SIZE + 30)]
+        members = picks[:CONTEXT_SIZE]
+        window = metrics._WindowCounts(corpus, [f"d{i:02d}" for i in members])
+        for joining in picks[CONTEXT_SIZE:]:
+            pos = rng.randrange(CONTEXT_SIZE)
+            window.replace(pos, f"d{joining:02d}")
+            members = members[:pos] + members[pos + 1:] + [joining]
+            docs = [pool[i] for i in members]
+            score, left_out = _window_scores(window)
+            assert score == maxima_self_bleu(docs)
+            assert left_out == [maxima_self_bleu(docs[:k] + docs[k + 1:])
+                                for k in range(CONTEXT_SIZE)]
 
 
 # ---- document grading from cached tokens ---------------------------------------

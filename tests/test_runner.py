@@ -567,7 +567,8 @@ def _run_files(run_dir: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("overrides", [
     {"filter_mode": "source", "misinfo": True, "grade_with_judge": True},
     {"pipeline": "dense+rerank", "rerank_depth": 10},
-], ids=["bm25-misinfo-judge-source", "dense-rerank"])
+    {"filter_mode": "diversity"},
+], ids=["bm25-misinfo-judge-source", "dense-rerank", "bm25-diversity"])
 def test_kill_at_every_write_resumes_identically(tmp_path, monkeypatch,
                                                  overrides):
     corpus, queries = write_demo_dataset(tmp_path / "data", num_docs=80,
@@ -651,7 +652,8 @@ def test_concurrency_cap_does_not_change_outputs(tmp_path):
                                                  "filter_mode": "source"}),
                         ("misinfo-judge-source", {"misinfo": True,
                                                   "grade_with_judge": True,
-                                                  "filter_mode": "source"})]:
+                                                  "filter_mode": "source"}),
+                        ("bm25-diversity", {"filter_mode": "diversity"})]:
         serial = _config(tmp_path, out=f"{name}-serial", **extra)
         threaded = _config(tmp_path, out=f"{name}-threaded", max_in_flight=4,
                            **extra)
