@@ -120,10 +120,8 @@ class CorpusSnapshot:
     keeps number 0 for no n-gram. Sorted arrays hold the numbering in 12
     bytes an n-gram, where a dict of ints takes about 90. Numbers depend on
     the order in which documents are first read, which threads and resumes
-    change, and no output depends on them.
-    Self-BLEU of the top-5 sets keeps no n-gram counts: `_clipped_hits`
-    builds them per call, because keeping them for every document in a
-    top-5 list costs more memory than the tokens themselves.
+    change, and no output depends on them. Self-BLEU of the top-5 sets
+    counts its n-grams per call instead (`metrics.self_bleu`).
     """
 
     __slots__ = ("_docs", "_index_of", "_tokens", "_vocab", "_ngrams",

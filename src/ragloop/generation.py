@@ -31,6 +31,8 @@ CONTEXT_SIZE = 5
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_STYLE_MARKER = "synthweave"
 FALSE_ANSWER_COUNT = 5
+# regenerations of a false-answer set or mis-passage that fails validation
+RETRY_BUDGET = 3
 # leading tokens of the first kept context that a synthetic answer repeats,
 # read from the corpus store's tokens of that document
 CONTEXT_ECHO_TOKENS = 12
@@ -336,17 +338,17 @@ def generate(backend, request: GenerationRequest) -> str:
 
 
 def generate_false_answers(backend, query: str, ref_answers: list[str],
-                           query_id: str = "", retry_budget: int = 3) -> list[str]:
+                           query_id: str = "") -> list[str]:
     """Five plausible wrong answers, none containing a reference answer.
 
     Candidates that still contain a reference answer are regenerated up to
-    the retry budget; exhausting it raises GenerationFailure so the query
+    RETRY_BUDGET times; exhausting it raises GenerationFailure so the query
     can be excluded from misinformation mode.
     """
     if not ref_answers:
         raise ValueError("reference answers must be non-empty")
     prompt = build_prompt(MIS_ANSWER, query, ref_answers=ref_answers)
-    for attempt in range(retry_budget + 1):
+    for attempt in range(RETRY_BUDGET + 1):
         candidates = []
         for i in range(FALSE_ANSWER_COUNT):
             request = GenerationRequest(prompt=prompt, kind=MIS_ANSWER, query=query,
@@ -365,16 +367,16 @@ def generate_false_answers(backend, query: str, ref_answers: list[str],
 
 
 def generate_mis_passage(backend, query: str, chosen_false_answer: str,
-                         ref_answers: list[str], query_id: str = "",
-                         iteration: int = 1, retry_budget: int = 3) -> str:
+                         ref_answers: list[str], query_id: str = "") -> str:
     """A passage supporting the false answer and free of every reference
-    answer; validated and regenerated within the retry budget."""
+    answer, for iteration 1, where the runner commits it; validated and
+    regenerated up to RETRY_BUDGET times."""
     prompt = build_prompt(MIS_PASSAGE, query, ref_answers=ref_answers,
                           false_answer=chosen_false_answer)
-    for attempt in range(retry_budget + 1):
+    for attempt in range(RETRY_BUDGET + 1):
         request = GenerationRequest(
             prompt=prompt, kind=MIS_PASSAGE, query_id=query_id,
-            iteration=iteration, query=query, gold_answers=list(ref_answers),
+            iteration=1, query=query, gold_answers=list(ref_answers),
             false_answer=chosen_false_answer, attempt=attempt)
         text = generate(backend, request)
         if chosen_false_answer in text and not em(ref_answers, text):

@@ -1,11 +1,14 @@
 """Measurement machinery: retrieval accuracy, answer grading, dominance,
 diversity, source shares, query-state transitions, rank tracking and
-correlation."""
+correlation, and `phase_metrics`, which assembles them into one phase's
+report. Every cut and bin a phase reports is set here; the Self-BLEU
+n-gram order is the corpus store's `NGRAM_ORDERS`."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -16,7 +19,15 @@ import numpy as np
 from .corpus import CorpusSnapshot, HUMAN, NGRAM_DTYPE, NGRAM_ORDERS
 from .retrieval import RankedList, tokenize
 
+logger = logging.getLogger(__name__)
+
 _ARTICLES = {"a", "an", "the"}
+
+# A phase's cuts: dominance, Self-BLEU, Acc@5 and the context-right count
+# (bins 0..TOP_K) read a query's top TOP_K, source shares its top SHARE_DEPTH
+TOP_K = 5
+SHARE_DEPTH = 50
+CONTEXT_RIGHT_BINS = TOP_K + 1
 
 # `_clipped_hits` takes sets in blocks of about this many tokens plus
 # members, so that its temporaries stay bounded; a larger set is a block
@@ -116,47 +127,46 @@ def _source_counts(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
                    for rl in ranked for entry in rl.top(k))
 
 
-def dominance_p(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
-                k: int = 5) -> float:
-    """Pooled share of generator-sourced documents among top-k slots."""
-    counts = _source_counts(ranked, corpus, k)
+def dominance_p(ranked: Sequence[RankedList], corpus: CorpusSnapshot) -> float:
+    """Pooled share of generator-sourced documents among top-TOP_K slots."""
+    counts = _source_counts(ranked, corpus, TOP_K)
     total = sum(counts.values())
     return 100.0 * (total - counts[HUMAN]) / total if total else 0.0
 
 
-def source_share(ranked: Sequence[RankedList], corpus: CorpusSnapshot,
-                 top_n: int = 50) -> dict[str, float]:
-    """Per-source percentage of all pooled top-n slots across queries.
+def source_share(ranked: Sequence[RankedList], corpus: CorpusSnapshot
+                 ) -> dict[str, float]:
+    """Per-source percentage of all pooled top-SHARE_DEPTH slots across
+    queries.
 
-    Lists shorter than top_n contribute only their actual slots, so the
-    shares always sum to 100.
+    Lists shorter than SHARE_DEPTH contribute only their actual slots, so
+    the shares always sum to 100.
     """
-    counts = _source_counts(ranked, corpus, top_n)
+    counts = _source_counts(ranked, corpus, SHARE_DEPTH)
     total = sum(counts.values())
     return {label: 100.0 * n / total for label, n in sorted(counts.items())}
 
 
-def _closest_length(c: int, ref_lengths: Iterable[int]) -> int:
-    """The reference length closest to c; a tie goes to the shorter."""
-    return min(ref_lengths, key=lambda rl: (abs(rl - c), rl))
+def _by_distance(c: int, ref_lengths: Iterable[int]) -> list[tuple[int, int]]:
+    """(|r - c|, r) per reference length r, nearest then shortest first."""
+    return sorted((abs(r - c), r) for r in ref_lengths)
 
 
-def _bleu_from_clipped(clipped: Iterable[int], c: int, r: int,
-                       max_n: int) -> float:
+def _bleu_from_clipped(clipped: Iterable[int], c: int, r: int) -> float:
     """Sentence BLEU of a c-token candidate whose clipped n-gram counts
-    `clipped` yields for n = 1..max_n, against references whose closest
-    length (`_closest_length`) is r: clipped precisions, geometric mean,
-    brevity penalty, no smoothing. Reading stops at the first order that
-    scores 0. Every Self-BLEU score in the program is evaluated here, so
-    they all share one float evaluation order."""
+    `clipped` yields for n = 1..NGRAM_ORDERS, against references whose
+    nearest length (`_by_distance`) is r: clipped precisions, geometric
+    mean, brevity penalty, no smoothing. Reading stops at the first order
+    that scores 0. Every Self-BLEU score in the program is evaluated here,
+    so they all share one float evaluation order."""
     if c == 0:
         return 0.0
     log_sum = 0.0
-    for n, hits in zip(range(max_n), clipped):
+    for n, hits in zip(range(NGRAM_ORDERS), clipped):
         total = c - n
         if total <= 0 or hits == 0:
             return 0.0
-        log_sum += math.log(hits / total) / max_n
+        log_sum += math.log(hits / total) / NGRAM_ORDERS
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return bp * math.exp(log_sum)
 
@@ -168,12 +178,12 @@ class _WindowCounts:
     The diversity filter's working window. Its rounds swap one document at
     a time and score every leave-one-out subset, which `_clipped_hits`,
     built for many fixed sets at once, does not serve; the two share only
-    `_bleu_from_clipped`. `counts[slot, g]` is the count of n-gram number g
-    of the store's numbering (`CorpusSnapshot.ngrams`) in the document in
-    that slot; number 0 counts nothing. `order[pos]` is the slot of the
-    document at position pos of the set. A joining document goes last in
-    the order and takes the slot of the one leaving, so a swap rewrites
-    only those two documents' counts, from the store's arrays.
+    `_by_distance` and `_bleu_from_clipped`. `counts[slot, g]` is the count
+    of n-gram number g of the store's numbering (`CorpusSnapshot.ngrams`)
+    in the document in that slot; number 0 counts nothing. `order[pos]` is
+    the slot of the document at position pos of the set. A joining document
+    goes last in the order and takes the slot of the one leaving, so a swap
+    rewrites only those two documents' counts, from the store's arrays.
 
     `numbers[slot]` and `hits[slot]` are the two fields of the store's
     array for the slot document: its distinct n-grams, order by order,
@@ -246,40 +256,40 @@ class _WindowCounts:
         """The Self-BLEU of the set, and a function that gives the Self-BLEU
         of the set without each position in turn, each summed in position
         order: bit-equal to `self_bleu` of those documents. Both read one
-        `clipped` table and one table of closest reference lengths, but the
+        `clipped` table and one table of nearest reference lengths, but the
         leave-one-out scores are worked out only when that function is
         called: the diversity filter calls it only in a round that drops a
         document."""
         clipped, lengths, order = self.clipped(), self.lengths, list(self.order)
-        # for each slot, the closest of the other lengths, its slot, and
-        # the closest once that slot is left out too
+        # for each slot, the nearest of the other lengths and the next
+        # nearest, which is the nearest once a slot of that length is out
         nearest = {}
         for i in order:
-            c = lengths[i]
-            (_, r, k), (_, runner_up, _) = sorted(
-                (abs(lengths[k] - c), lengths[k], k) for k in order if k != i)[:2]
-            nearest[i] = r, k, runner_up
+            (_, r), (_, runner_up) = _by_distance(
+                lengths[i], lengths[:i] + lengths[i + 1:])[:2]
+            nearest[i] = r, runner_up
 
         def mean(out: int | None) -> float:
+            gone = None if out is None else lengths[out]
             bleus = []
             for i in order:
                 if i == out:
                     continue
-                r, k, runner_up = nearest[i]
+                r, runner_up = nearest[i]
                 bleus.append(_bleu_from_clipped(
                     clipped[i][i if out is None else out], lengths[i],
-                    runner_up if k == out else r, NGRAM_ORDERS))
+                    runner_up if r == gone else r))
             return sum(bleus) / len(bleus)
 
         return mean(None), lambda: [mean(out) for out in order]
 
 
-def _block_hits(block: list[Sequence[Sequence]], max_n: int) -> list[list]:
+def _block_hits(block: list[Sequence[Sequence]]) -> list[list]:
     """`_clipped_hits` of one block of sets."""
     docs = [doc for set_docs in block for doc in set_docs]
     members = len(docs)
     flat = list(itertools.chain.from_iterable(docs))
-    hits = np.zeros((members, max_n), dtype=np.int64)
+    hits = np.zeros((members, NGRAM_ORDERS), dtype=np.int64)
     if flat:
         # token ids local to the block: equal tokens, equal ids
         vocab = dict(zip(dict.fromkeys(flat), itertools.count()))
@@ -295,13 +305,13 @@ def _block_hits(block: list[Sequence[Sequence]], max_n: int) -> list[list]:
         # extends it by the next token's id. When those numbers could pass
         # the code limit, each order's keys are renumbered densely, below
         # the number of positions
-        dense = members * sum(len(block) * width ** n
-                              for n in range(1, max_n + 1)) >= _CODE_LIMIT
+        dense = members * sum(len(block) * width ** n for n in range(
+            1, NGRAM_ORDERS + 1)) >= _CODE_LIMIT
         key = np.repeat(np.arange(len(block)) * width, set_lengths) + ids
         bound = len(block) * width
         codes = []
         offsets = [0]
-        for n in range(1, max_n + 1):
+        for n in range(1, NGRAM_ORDERS + 1):
             if n > 1:
                 key = key[:-1] * width + ids[n - 1:]
                 bound *= width
@@ -331,26 +341,26 @@ def _block_hits(block: list[Sequence[Sequence]], max_n: int) -> list[list]:
         # each order's n-grams are one stretch of the sorted runs; the sums
         # of integers stay exact in float64
         ends = np.searchsorted(gram, offsets)
-        for n in range(max_n):
+        for n in range(NGRAM_ORDERS):
             stretch = slice(ends[n], ends[n + 1])
             hits[:, n] = np.bincount(owner[stretch], clipped[stretch], members)
     rows = iter(hits.tolist())
     return [list(itertools.islice(rows, len(set_docs))) for set_docs in block]
 
 
-def _clipped_hits(sets: Sequence[Sequence[Sequence]], max_n: int) -> list[list]:
+def _clipped_hits(sets: Sequence[Sequence[Sequence]]) -> list[list]:
     """For each member of each set of token sequences, and each order n =
-    1..max_n: the sum over the member's distinct n-grams of min(its count,
-    the largest count among the set's other members).
+    1..NGRAM_ORDERS: the sum over the member's distinct n-grams of min(its
+    count, the largest count among the set's other members).
 
     Every occurrence of every n-gram is packed into one int64 code, ordered
     by (order, set, n-gram) and then member, and one sort of a block's
     codes turns runs into counts. Sets go in blocks of about
     `_BLOCK_WEIGHT` tokens and members, so that the temporaries stay
     bounded. Where plain numbering could pass `_CODE_LIMIT`, n-grams are
-    renumbered densely at every order, so codes stay below max_n x tokens
-    x members and keys below tokens squared: within int64 for any block
-    that fits in memory.
+    renumbered densely at every order, so codes stay below NGRAM_ORDERS x
+    tokens x members and keys below tokens squared: within int64 for any
+    block that fits in memory.
     """
     out: list[list] = []
     block: list[Sequence[Sequence]] = []
@@ -359,30 +369,30 @@ def _clipped_hits(sets: Sequence[Sequence[Sequence]], max_n: int) -> list[list]:
         block.append(docs)
         weight += len(docs) + sum(map(len, docs))
         if weight >= _BLOCK_WEIGHT:
-            out += _block_hits(block, max_n)
+            out += _block_hits(block)
             block, weight = [], 0
     if block:
-        out += _block_hits(block, max_n)
+        out += _block_hits(block)
     return out
 
 
-def self_bleu(docs: Sequence[str | Sequence[str]] | Mapping[object, Sequence],
-              max_n: int = 3) -> float | dict:
+def self_bleu(docs: Sequence[str | Sequence[str]] | Mapping[object, Sequence]
+              ) -> float | dict:
     """Mean BLEU of each document against the rest of the set.
 
-    High values mean the set is homogeneous. Uses uniform 1..max_n-gram
-    weights and no smoothing, so disjoint sets score exactly 0 and
-    identical sets exactly 1.
+    High values mean the set is homogeneous. Uses uniform
+    1..NGRAM_ORDERS-gram weights and no smoothing, so disjoint sets score
+    exactly 0 and identical sets exactly 1.
 
     A document is a text or a token sequence (such as the corpus's cached
     tokens). Given a mapping of key -> set of documents, scores every set
     in one pass and returns key -> score. Clipped counts come from
-    `_clipped_hits` and are dropped afterwards, since keeping n-gram counts
-    for every document that reaches a top-5 list would cost several times
-    the memory of the cached tokens they are built from. The diversity
-    filter, which rescores a few documents many times, reads counts the
-    corpus store keeps instead (`_WindowCounts`); both evaluate every
-    score in `_bleu_from_clipped`.
+    `_clipped_hits` and are dropped afterwards: numbering the n-grams of
+    every document that reaches a top-TOP_K list in the corpus store costs
+    more time and memory than counting them again each phase. The
+    diversity filter, which rescores a few documents many times, reads the
+    store's counts instead (`_WindowCounts`); both evaluate every score in
+    `_bleu_from_clipped`.
     """
     sets = list(docs.values()) if isinstance(docs, Mapping) else [docs]
     token_sets = []
@@ -392,25 +402,24 @@ def self_bleu(docs: Sequence[str | Sequence[str]] | Mapping[object, Sequence],
         token_sets.append([tokenize(d) if isinstance(d, str) else d
                            for d in members])
     means = []
-    for tokens, hits in zip(token_sets, _clipped_hits(token_sets, max_n)):
+    for tokens, hits in zip(token_sets, _clipped_hits(token_sets)):
         lengths = [len(t) for t in tokens]
         scores = [_bleu_from_clipped(
             hits[i], lengths[i],
-            _closest_length(lengths[i], lengths[:i] + lengths[i + 1:]), max_n)
+            _by_distance(lengths[i], lengths[:i] + lengths[i + 1:])[0][1])
             for i in range(len(tokens))]
         means.append(sum(scores) / len(scores))
     return dict(zip(docs, means)) if isinstance(docs, Mapping) else means[0]
 
 
-def context_right_num(top5: RankedList, golds: Sequence[str],
-                      corpus: CorpusSnapshot,
-                      contains: dict[str, int] | None = None) -> int:
-    """How many of the top-5 documents contain a gold answer. `contains`
-    memoizes each document's containment, as in `first_right_ranks`."""
+def context_right_num(ranked: RankedList, golds: Sequence[str],
+                      corpus: CorpusSnapshot, contains: dict[str, int]) -> int:
+    """How many of the top-TOP_K documents contain a gold answer.
+    `contains` memoizes each document's containment, as in
+    `first_right_ranks`."""
     needles = _gold_needles(golds)
-    contains = {} if contains is None else contains
     return sum(_holds_gold(e.doc_id, needles, corpus, contains)
-               for e in top5.top(5))
+               for e in ranked.top(TOP_K))
 
 
 def transitions(em_prev: Mapping, em_next: Mapping) -> tuple[int, int]:
@@ -423,7 +432,7 @@ def transitions(em_prev: Mapping, em_next: Mapping) -> tuple[int, int]:
 
 
 def first_right_ranks(ranked: RankedList, golds: Sequence[str],
-                      corpus: CorpusSnapshot, contains: dict[str, int] | None = None
+                      corpus: CorpusSnapshot, contains: dict[str, int]
                       ) -> tuple[int | None, int | None]:
     """Rank of the first correct document from any source and from humans.
 
@@ -436,7 +445,6 @@ def first_right_ranks(ranked: RankedList, golds: Sequence[str],
     first_any: int | None = None
     first_human: int | None = None
     needles = _gold_needles(golds)
-    contains = {} if contains is None else contains
     for entry in ranked.entries:
         if not _holds_gold(entry.doc_id, needles, corpus, contains):
             continue
@@ -511,3 +519,75 @@ class IterationMetrics:
                 raise ValueError(f"source shares sum to {total}, expected 100")
         if not 0.0 <= self.self_bleu_top5 <= 1.0:
             raise ValueError(f"self_bleu_top5 out of range: {self.self_bleu_top5}")
+
+
+def _percent(values: Sequence[int]) -> float | None:
+    """100 times the mean of 0/1 values; None when there are none."""
+    return 100.0 * sum(values) / len(values) if values else None
+
+
+def phase_metrics(iteration: int, ranked: Mapping[str, RankedList],
+                  scans: Mapping[str, dict], records: Sequence,
+                  em_prev: Mapping | None,
+                  corpus: CorpusSnapshot) -> IterationMetrics:
+    """One phase's validated metrics from its graded `records`. `ranked` and
+    `scans` map each query, in query order, to its ranked list and to its
+    `first_right_ranks` and `context_right_num` scan; `em_prev` maps
+    (query, generator) to the last phase's em, or is None."""
+    ranked_lists = list(ranked.values())
+    first_any = [s["first_right_any"] for s in scans.values()]
+    bleu_values = list(self_bleu({
+        rl.query_id: [corpus.tokens(e.doc_id) for e in rl.top(TOP_K)]
+        for rl in ranked_lists if len(rl.entries) >= 2}).values())
+    by_gen: dict[str, list[int]] = {}
+    for rec in records:
+        by_gen.setdefault(rec.generator_name, []).append(rec.em)
+
+    t01 = t10 = None
+    if em_prev is not None:
+        em_now = {(r.query_id, r.generator_name): r.em for r in records}
+        common = set(em_prev) & set(em_now)
+        if len(common) != len(em_now) or len(common) != len(em_prev):
+            logger.warning("transition key sets differ at iteration %d "
+                           "(%d vs %d); using the intersection",
+                           iteration, len(em_prev), len(em_now))
+        t01, t10 = transitions({k: em_prev[k] for k in common},
+                               {k: em_now[k] for k in common})
+
+    em_llm_values = [r.em_llm for r in records if r.em_llm is not None]
+    pearson_value = None
+    if em_llm_values and len(em_llm_values) == len(records):
+        try:
+            pearson_value = pearson([r.em for r in records], em_llm_values)
+        except ValueError:
+            pass
+
+    hist = {"em0": [0] * CONTEXT_RIGHT_BINS, "em1": [0] * CONTEXT_RIGHT_BINS}
+    for rec in records:
+        crn = scans[rec.query_id]["context_right_num"]
+        hist["em1" if rec.em == 1 else "em0"][crn] += 1
+
+    any_ranks = [a for a in first_any if a is not None]
+    human_ranks = [s["first_right_human"] for s in scans.values()
+                   if s["first_right_human"] is not None]
+    bundle = IterationMetrics(
+        iteration=iteration, acc_at_5=acc_at_k(first_any, TOP_K),
+        acc_at_20=acc_at_k(first_any, 20),
+        em_mean=_percent([rec.em for rec in records]) or 0.0,
+        em_mean_by_generator={name: _percent(v)
+                              for name, v in sorted(by_gen.items())},
+        dominance_p=dominance_p(ranked_lists, corpus),
+        source_share_top50=source_share(ranked_lists, corpus),
+        self_bleu_top5=(sum(bleu_values) / len(bleu_values)
+                        if bleu_values else 0.0),
+        transitions_01=t01, transitions_10=t10,
+        em_llm_mean=_percent(em_llm_values), pearson_em_em_llm=pearson_value,
+        context_right_hist=hist,
+        first_right_summary={
+            "mean_any": sum(any_ranks) / len(any_ranks) if any_ranks else None,
+            "count_any": len(any_ranks),
+            "mean_human": (sum(human_ranks) / len(human_ranks)
+                           if human_ranks else None),
+            "count_human": len(human_ranks)})
+    bundle.validate()
+    return bundle

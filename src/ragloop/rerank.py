@@ -80,8 +80,8 @@ class RerankOutcome:
 
 
 def rerank(backend, query: str, candidates: RankedList, depth: int,
-           corpus: CorpusSnapshot, failure_policy: str = FAILURE_ABORT,
-           scores: dict[str, float] | None = None) -> RerankOutcome:
+           corpus: CorpusSnapshot, scores: dict[str, float],
+           failure_policy: str = FAILURE_ABORT) -> RerankOutcome:
     """Reorder the first `depth` candidates by backend score, descending.
 
     Each passage is read from `corpus`: its cached tokens for a backend
@@ -99,8 +99,7 @@ def rerank(backend, query: str, candidates: RankedList, depth: int,
         raise ValueError("rerank depth must be >= 1")
     head = candidates.entries[:depth]
     tail = candidates.entries[depth:]
-    known = {} if scores is None else scores
-    missing = [e.doc_id for e in head if e.doc_id not in known]
+    missing = [e.doc_id for e in head if e.doc_id not in scores]
     passage = corpus.tokens if backend.reads_tokens else corpus.get_text
     try:
         fresh = backend.score(query, [passage(d) for d in missing]) \
@@ -111,8 +110,8 @@ def rerank(backend, query: str, candidates: RankedList, depth: int,
                            "candidates through unranked", candidates.query_id)
             return RerankOutcome(ranked=candidates, passed_through=True)
         raise
-    known.update(zip(missing, fresh))
-    head_scores = [known[e.doc_id] for e in head]
+    scores.update(zip(missing, fresh))
+    head_scores = [scores[e.doc_id] for e in head]
     order = sorted(range(len(head)), key=lambda i: (-head_scores[i], i))
     reordered = [head[i] for i in order] + tail
     entries = [RankEntry(e.doc_id, (head_scores[order[pos]] if pos < len(head)

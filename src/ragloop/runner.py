@@ -338,82 +338,6 @@ class ExperimentRunner:
             return hit, None
         return hit, M.em_llm(hit, verdict)
 
-    # ---- metric assembly -------------------------------------------------
-
-    def _build_metrics(self, iteration: int, ranked: dict[str, RankedList],
-                       records: list[GenerationRecord],
-                       em_prev: dict | None,
-                       scans: dict[str, dict]) -> M.IterationMetrics:
-        ranked_lists = [ranked[q.query_id] for q in self.queries]
-        query_scans = [scans[q.query_id] for q in self.queries]
-        first_any = [s["first_right_any"] for s in query_scans]
-        acc5 = M.acc_at_k(first_any, 5)
-        acc20 = M.acc_at_k(first_any, 20)
-        dom = M.dominance_p(ranked_lists, self.corpus, k=5)
-        shares = M.source_share(ranked_lists, self.corpus, top_n=50)
-
-        bleu_values = list(M.self_bleu({
-            rl.query_id: [self.corpus.tokens(e.doc_id) for e in rl.top(5)]
-            for rl in ranked_lists if len(rl.entries) >= 2}).values())
-        bleu = sum(bleu_values) / len(bleu_values) if bleu_values else 0.0
-
-        by_gen: dict[str, list[int]] = {}
-        for rec in records:
-            by_gen.setdefault(rec.generator_name, []).append(rec.em)
-        em_mean_by_gen = {name: 100.0 * sum(v) / len(v)
-                          for name, v in sorted(by_gen.items())}
-        all_em = [rec.em for rec in records]
-        em_mean = 100.0 * sum(all_em) / len(all_em) if all_em else 0.0
-
-        t01: int | None = None
-        t10: int | None = None
-        if em_prev is not None:
-            em_now = {(r.query_id, r.generator_name): r.em for r in records}
-            common = set(em_prev) & set(em_now)
-            if len(common) != len(em_now) or len(common) != len(em_prev):
-                logger.warning("transition key sets differ at iteration %d "
-                               "(%d vs %d); using the intersection",
-                               iteration, len(em_prev), len(em_now))
-            t01, t10 = M.transitions({k: em_prev[k] for k in common},
-                                     {k: em_now[k] for k in common})
-
-        em_llm_values = [r.em_llm for r in records if r.em_llm is not None]
-        em_llm_mean = (100.0 * sum(em_llm_values) / len(em_llm_values)
-                       if em_llm_values else None)
-        pearson_value: float | None = None
-        if em_llm_values and len(em_llm_values) == len(records):
-            try:
-                pearson_value = M.pearson([r.em for r in records],
-                                          [r.em_llm for r in records])
-            except ValueError:
-                pearson_value = None
-
-        hist = {"em0": [0] * 6, "em1": [0] * 6}
-        for rec in records:
-            crn = scans[rec.query_id]["context_right_num"]
-            hist["em1" if rec.em == 1 else "em0"][crn] += 1
-
-        any_ranks = [a for a in first_any if a is not None]
-        human_ranks = [s["first_right_human"] for s in query_scans
-                       if s["first_right_human"] is not None]
-        first_right = {
-            "mean_any": (sum(any_ranks) / len(any_ranks)) if any_ranks else None,
-            "count_any": len(any_ranks),
-            "mean_human": (sum(human_ranks) / len(human_ranks))
-                          if human_ranks else None,
-            "count_human": len(human_ranks),
-        }
-
-        bundle = M.IterationMetrics(
-            iteration=iteration, acc_at_5=acc5, acc_at_20=acc20,
-            em_mean=em_mean, em_mean_by_generator=em_mean_by_gen,
-            dominance_p=dom, source_share_top50=shares, self_bleu_top5=bleu,
-            transitions_01=t01, transitions_10=t10, em_llm_mean=em_llm_mean,
-            pearson_em_em_llm=pearson_value, context_right_hist=hist,
-            first_right_summary=first_right)
-        bundle.validate()
-        return bundle
-
     # ---- phases ----------------------------------------------------------
 
     def _run_phase(self, iteration: int, em_prev: dict | None
@@ -440,10 +364,10 @@ class ExperimentRunner:
             # the pool, where they would only contend for the GIL
             contains = self.contains[qid]
             first_any, first_human = M.first_right_ranks(
-                rl, answers, self.corpus, contains=contains)
+                rl, answers, self.corpus, contains)
             scans[qid] = {
                 "context_right_num": M.context_right_num(
-                    rl, answers, self.corpus, contains=contains),
+                    rl, answers, self.corpus, contains),
                 "first_right_any": first_any, "first_right_human": first_human}
 
         specs = (self.config.generators_for_iteration(iteration)
@@ -466,8 +390,8 @@ class ExperimentRunner:
             generator_name=r.generator_name, em=r.em, em_llm=r.em_llm,
             **scans[r.query_id]) for r in records]
 
-        bundle = self._build_metrics(iteration, ranked, records, em_prev,
-                                     scans)
+        bundle = M.phase_metrics(iteration, ranked, scans, records, em_prev,
+                                 self.corpus)
         artifacts = IterationArtifacts(
             iteration=iteration, ranked=ranked, contexts=contexts,
             records=records, metrics=bundle)
@@ -581,8 +505,7 @@ class ExperimentRunner:
                 try:
                     raw = generate_mis_passage(
                         self.generators[gen_spec.name], query.question,
-                        chosen, query.answers,
-                        query_id=query.query_id, iteration=1)
+                        chosen, query.answers, query_id=query.query_id)
                 except GenerationFailure as exc:
                     logger.warning("mis-passage failed for query %s / %s: %s",
                                    query.query_id, gen_spec.name, exc)
@@ -774,14 +697,11 @@ def emit_plot_series(run_dir: str | Path) -> list[Path]:
     emit("series_transitions.tsv", ["iteration", "t01", "t10"],
          [[b.iteration, b.transitions_01, b.transitions_10] for b in bundles])
 
-    hist_rows = []
-    for b in bundles:
-        for state in ("em0", "em1"):
-            counts = b.context_right_hist.get(state, [0] * 6)
-            hist_rows.append([b.iteration, state] + list(counts))
+    bins = M.CONTEXT_RIGHT_BINS
     emit("series_context_right.tsv",
-         ["iteration", "em_state"] + [f"right_{i}" for i in range(6)],
-         hist_rows)
+         ["iteration", "em_state"] + [f"right_{i}" for i in range(bins)],
+         [[b.iteration, state] + b.context_right_hist.get(state, [0] * bins)
+          for b in bundles for state in ("em0", "em1")])
 
     emit("series_first_right.tsv",
          ["iteration", "mean_any", "count_any", "mean_human", "count_human"],

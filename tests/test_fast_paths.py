@@ -30,13 +30,12 @@ import numpy as np
 import pytest
 
 from ragloop import filters, metrics, retrieval
-from ragloop.corpus import CorpusSnapshot, HUMAN
+from ragloop.corpus import NGRAM_ORDERS, CorpusSnapshot, HUMAN
 from ragloop.filters import DIVERSITY_THRESHOLD, FilterResult
 from ragloop.generation import (ANSWER_CHECK, CONTEXT_SIZE, FALSE_ANSWER_COUNT,
                                 MIS_ANSWER, GenerationRequest,
                                 SyntheticGenerator, build_prompt, derive_seed)
-from ragloop.metrics import (_bleu_from_clipped, _closest_length,
-                             normalize_answer)
+from ragloop.metrics import _bleu_from_clipped, normalize_answer
 from ragloop.config import parse_config_mapping
 from ragloop.postprocess import PhraseList, clean, default_phrase_list
 from ragloop.retrieval import (BM25_B, BM25_K1, InvertedIndex, RankEntry,
@@ -127,16 +126,17 @@ def self_bleu(docs: Sequence[str], max_n: int = 3) -> float:
 
 class NgramProfile(NamedTuple):
     """A document's length and its n-gram Counters, `counts[n - 1]` for
-    n = 1..max_n. 1-grams are keyed by the token, longer ones by tuples."""
+    n = 1..NGRAM_ORDERS. 1-grams are keyed by the token, longer ones by
+    tuples."""
 
     length: int
     counts: tuple[Counter, ...]
 
 
-def ngram_profile(tokens: Sequence[str], max_n: int = 3) -> NgramProfile:
+def ngram_profile(tokens: Sequence[str]) -> NgramProfile:
     return NgramProfile(len(tokens), (Counter(tokens),) + tuple(
         Counter(zip(*(tokens[i:] for i in range(n))))
-        for n in range(2, max_n + 1)))
+        for n in range(2, NGRAM_ORDERS + 1)))
 
 
 def _set_maxima(counters: list[Counter]) -> dict:
@@ -156,13 +156,13 @@ def _set_maxima(counters: list[Counter]) -> dict:
     return maxima
 
 
-def _clipped_counts(candidate: NgramProfile, set_maxima: list[dict],
-                    max_n: int) -> Iterator[int]:
+def _clipped_counts(candidate: NgramProfile,
+                    set_maxima: list[dict]) -> Iterator[int]:
     """The candidate's n-gram counts clipped by the other members of its
-    set, one sum per order n = 1..max_n, each computed when it is read.
-    `set_maxima[n - 1]` is `_set_maxima` of the whole set's n-gram
+    set, one sum per order n = 1..NGRAM_ORDERS, each computed when it is
+    read. `set_maxima[n - 1]` is `_set_maxima` of the whole set's n-gram
     Counters."""
-    for n in range(max_n):
+    for n in range(NGRAM_ORDERS):
         maxima = set_maxima[n]
         clipped = 0
         for ngram, cnt in candidate.counts[n].items():
@@ -173,12 +173,12 @@ def _clipped_counts(candidate: NgramProfile, set_maxima: list[dict],
         yield clipped
 
 
-def maxima_self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> float:
+def maxima_self_bleu(docs: Sequence[str | Sequence[str]]) -> float:
     """Mean BLEU of each document against the rest of the set.
 
-    High values mean the set is homogeneous. Uses uniform 1..max_n-gram
-    weights and no smoothing, so disjoint sets score exactly 0 and
-    identical sets exactly 1.
+    High values mean the set is homogeneous. Uses uniform
+    1..NGRAM_ORDERS-gram weights and no smoothing, so disjoint sets score
+    exactly 0 and identical sets exactly 1.
 
     A document is a text or a token sequence (such as the corpus's cached
     tokens). Each document's n-gram Counters are built once per call and
@@ -188,17 +188,18 @@ def maxima_self_bleu(docs: Sequence[str | Sequence[str]], max_n: int = 3) -> flo
     """
     if len(docs) < 2:
         raise ValueError("self_bleu needs at least 2 documents")
-    profiles = [ngram_profile(tokenize(d) if isinstance(d, str) else d, max_n)
+    profiles = [ngram_profile(tokenize(d) if isinstance(d, str) else d)
                 for d in docs]
     set_maxima = [_set_maxima([p.counts[n] for p in profiles])
-                  for n in range(max_n)]
+                  for n in range(NGRAM_ORDERS)]
     lengths = [p.length for p in profiles]
     scores = []
     for i, candidate in enumerate(profiles):
+        c = candidate.length
+        # the closest reference length; a tie goes to the shorter
+        r = min(lengths[:i] + lengths[i + 1:], key=lambda rl: (abs(rl - c), rl))
         scores.append(_bleu_from_clipped(
-            _clipped_counts(candidate, set_maxima, max_n), candidate.length,
-            _closest_length(candidate.length, lengths[:i] + lengths[i + 1:]),
-            max_n))
+            _clipped_counts(candidate, set_maxima), c, r))
     return sum(scores) / len(scores)
 
 
@@ -484,11 +485,10 @@ def test_self_bleu_bit_equal_on_random_token_sets():
         vocab = [f"w{i}" for i in range(rng.choice((3, 6, 12, 40)))]
         docs = [[rng.choice(vocab) for _ in range(rng.randint(0, 25))]
                 for _ in range(rng.randint(2, 6))]
-        max_n = rng.randint(1, 4)
-        want = self_bleu(docs, max_n)
-        assert maxima_self_bleu(docs, max_n) == want
-        assert metrics.self_bleu(docs, max_n) == want
-        assert metrics.self_bleu([" ".join(d) for d in docs], max_n) == want
+        want = self_bleu(docs)
+        assert maxima_self_bleu(docs) == want
+        assert metrics.self_bleu(docs) == want
+        assert metrics.self_bleu([" ".join(d) for d in docs]) == want
 
 
 def test_self_bleu_bit_equal_on_recorded_top5_sets(recorded):
@@ -505,8 +505,8 @@ def test_self_bleu_bit_equal_on_recorded_top5_sets(recorded):
     assert compared >= 20
 
 
-def _maxima_scores(sets: Mapping, max_n: int = 3) -> dict:
-    return {key: maxima_self_bleu(docs, max_n) for key, docs in sets.items()}
+def _maxima_scores(sets: Mapping) -> dict:
+    return {key: maxima_self_bleu(docs) for key, docs in sets.items()}
 
 
 def test_self_bleu_of_a_mapping_scores_sets_of_two_to_six_members():
@@ -516,10 +516,9 @@ def test_self_bleu_of_a_mapping_scores_sets_of_two_to_six_members():
                           for _ in range(rng.randint(2, 6))]
             for i in range(150)}
     assert {len(docs) for docs in sets.values()} == {2, 3, 4, 5, 6}
-    for max_n in (1, 2, 3, 4):
-        got = metrics.self_bleu(sets, max_n)
-        assert list(got) == list(sets)
-        assert got == _maxima_scores(sets, max_n)
+    got = metrics.self_bleu(sets)
+    assert list(got) == list(sets)
+    assert got == _maxima_scores(sets)
 
 
 def test_self_bleu_of_sets_without_tokens_is_zero():
@@ -544,30 +543,7 @@ def test_self_bleu_of_more_sets_than_one_block():
                  for _ in range(3)]
     weight = sum(len(docs) + sum(map(len, docs)) for docs in sets.values())
     assert weight > 5 * metrics._BLOCK_WEIGHT
-    for max_n in (3, 4):
-        assert metrics.self_bleu(sets, max_n) == _maxima_scores(sets, max_n)
-
-
-def test_self_bleu_with_a_vocabulary_too_large_to_pack_four_grams():
-    # 40k distinct tokens: 4-gram keys numbered id0 * V**3 + ... + id3 would
-    # not fit int64 beside the set and the member, so they must be renumbered
-    rng = random.Random(33)
-    vocab = [f"t{i}" for i in range(40_000)]
-    assert len(vocab) ** 4 * 4 > 2 ** 63
-    phrases = [vocab[i:i + 6] for i in range(0, 600, 6)]
-
-    def doc(fresh: list[str]) -> list[str]:
-        out = []
-        for start in range(0, len(fresh), 50):
-            out += fresh[start:start + 50] + rng.choice(phrases)
-        return out
-
-    big = [doc(vocab[q * 10_000:(q + 1) * 10_000]) for q in range(4)]
-    assert len({t for d in big for t in d}) == len(vocab)
-    sets = {"small": [["t1", "t2", "t3", "t4"], ["t1", "t2", "t3", "t5"]],
-            "big": big, "mixed": [big[0][:300], big[1][:300], big[0][100:500]]}
-    assert metrics.self_bleu(sets, 4) == _maxima_scores(sets, 4)
-    assert metrics.self_bleu(sets, 4)["big"] > 0.0
+    assert metrics.self_bleu(sets) == _maxima_scores(sets)
 
 
 def test_self_bleu_scores_each_recorded_phase_in_one_call(recorded_run):
@@ -582,6 +558,37 @@ def test_self_bleu_scores_each_recorded_phase_in_one_call(recorded_run):
         got = metrics.self_bleu(sets)
         assert got == want
         assert sum(got.values()) / len(got) == art.metrics.self_bleu_top5
+
+
+def _recorded_phase_sets(recorded_run) -> list[dict]:
+    """Each recorded phase's top-5 sets, keyed by query, as the runner
+    scores them."""
+    runner, phases = recorded_run
+    return [{qid: [runner.corpus.tokens(e.doc_id) for e in rl.top(5)]
+             for qid, rl in art.ranked.items() if len(rl.entries) >= 2}
+            for art in phases]
+
+
+def test_self_bleu_renumbering_every_order_matches_plain_codes(
+        recorded_run, monkeypatch):
+    # a code limit of 0 sends every block down the dense renumbering path
+    phase_sets = _recorded_phase_sets(recorded_run)
+    plain = [metrics.self_bleu(sets) for sets in phase_sets]
+    monkeypatch.setattr(metrics, "_CODE_LIMIT", 0)
+    for sets, want in zip(phase_sets, plain):
+        assert metrics.self_bleu(sets) == want == _maxima_scores(sets)
+
+
+def test_self_bleu_of_a_whole_phase_in_one_block_matches_blocks(
+        recorded_run, monkeypatch):
+    phase_sets = _recorded_phase_sets(recorded_run)
+    weights = [sum(len(docs) + sum(map(len, docs)) for docs in sets.values())
+               for sets in phase_sets]
+    assert max(weights) > metrics._BLOCK_WEIGHT
+    blocked = [metrics.self_bleu(sets) for sets in phase_sets]
+    monkeypatch.setattr(metrics, "_BLOCK_WEIGHT", 1 << 40)
+    for sets, want in zip(phase_sets, blocked):
+        assert metrics.self_bleu(sets) == want == _maxima_scores(sets)
 
 
 # ---- diversity filter ----------------------------------------------------------
@@ -767,19 +774,20 @@ def test_window_scores_match_maxima_self_bleu_after_many_joins_on_one_store():
 
 def test_grading_identical_on_recorded_lists(recorded):
     corpus, ranked, gold = recorded
-    first_any = [metrics.first_right_ranks(rl, gold[rl.query_id], corpus)[0]
-                 for rl in ranked]
+    first_any = [
+        metrics.first_right_ranks(rl, gold[rl.query_id], corpus, {})[0]
+        for rl in ranked]
     for k in (1, 5, 12, 20):
         assert metrics.acc_at_k(first_any, k) == acc_at_k(ranked, gold, k, corpus)
     for rl in ranked:
         answers = gold[rl.query_id]
-        assert metrics.context_right_num(rl, answers, corpus) == \
+        assert metrics.context_right_num(rl, answers, corpus, {}) == \
             context_right_num(rl, answers, corpus)
-        assert metrics.first_right_ranks(rl, answers, corpus) == \
+        assert metrics.first_right_ranks(rl, answers, corpus, {}) == \
             first_right_ranks(rl, answers, corpus)
         # a wrong answer, and one that needs articles stepped over
         for golds in (["nowhere"], ["site describe its"]):
-            assert metrics.first_right_ranks(rl, golds, corpus) == \
+            assert metrics.first_right_ranks(rl, golds, corpus, {}) == \
                 first_right_ranks(rl, golds, corpus)
 
 
@@ -815,10 +823,10 @@ def test_grading_matches_em_on_article_heavy_text():
     rl = RankedList.from_ordered("q", 0, [(d, 1.0) for d in texts])
     for golds in (["capital Paris"], ["the Paris of age"], ["Paris a capital"],
                   ["the"], ["capital"]):
-        assert metrics.context_right_num(rl, golds, corpus) == \
+        assert metrics.context_right_num(rl, golds, corpus, {}) == \
             sum(em(golds, t) for t in texts.values())
     with pytest.raises(ValueError, match="at least one gold answer"):
-        metrics.context_right_num(rl, [], corpus)
+        metrics.context_right_num(rl, [], corpus, {})
 
 
 # ---- synthetic false answers and judge replies through `generate` -------------

@@ -216,8 +216,7 @@ def test_false_answer_accepts_clean_candidates():
 def test_false_answer_budget_exhaustion():
     backend = _ScriptedBackend(["Paris encore"] * 40)
     with pytest.raises(GenerationFailure):
-        generate_false_answers(backend, "capital?", ["Paris"],
-                               retry_budget=2)
+        generate_false_answers(backend, "capital?", ["Paris"])
 
 
 def test_false_answer_synthetic_decoys_are_valid():
@@ -254,8 +253,7 @@ def test_mis_passage_regenerates_on_violation():
 def test_mis_passage_budget_exhaustion():
     backend = _ScriptedBackend(["Paris forever"] * 10)
     with pytest.raises(GenerationFailure):
-        generate_mis_passage(backend, "capital?", "Lyon", ["Paris"],
-                             retry_budget=3)
+        generate_mis_passage(backend, "capital?", "Lyon", ["Paris"])
 
 
 # ---- judge --------------------------------------------------------------------

@@ -80,7 +80,7 @@ def _mini_corpus():
 
 
 def _first_any(ranked, corpus):
-    return first_right_ranks(ranked, ["Paris"], corpus)[0]
+    return first_right_ranks(ranked, ["Paris"], corpus, {})[0]
 
 
 def test_acc_at_k_rank_thresholds():
@@ -167,14 +167,14 @@ def test_dominance_matches_brute_force_recount():
 def test_source_share_single_query_even_split():
     corpus = _tagged_corpus()
     ranked = _ranked("q", ["h0", "g0"])
-    assert source_share([ranked], corpus, top_n=2) == \
+    assert source_share([ranked], corpus) == \
         {"gen-A": 50.0, "human": 50.0}
 
 
 def test_source_share_short_list_uses_actual_slots():
     corpus = _tagged_corpus()
-    ranked = _ranked("q", ["h0", "h1", "g0"])  # shorter than top_n
-    shares = source_share([ranked], corpus, top_n=50)
+    ranked = _ranked("q", ["h0", "h1", "g0"])  # shorter than SHARE_DEPTH
+    shares = source_share([ranked], corpus)
     assert abs(shares["human"] - 200.0 / 3) < 1e-9
     assert abs(sum(shares.values()) - 100.0) < 1e-9
 
@@ -278,11 +278,11 @@ def test_context_right_num_counts():
     golds = ["Paris"]
     lst = _ranked("q", ["c1", "c2", "c3", "c4", "c5", "c6"])
     # only the top five count: hits at ranks 1, 2, 4
-    assert context_right_num(lst, golds, corpus) == 3
+    assert context_right_num(lst, golds, corpus, {}) == 3
     none = _ranked("q", ["c3", "c5"])
-    assert context_right_num(none, golds, corpus) == 0
+    assert context_right_num(none, golds, corpus, {}) == 0
     allhit = _ranked("q", ["c1", "c2", "c4", "c6"])
-    assert context_right_num(allhit, golds, corpus) == 4
+    assert context_right_num(allhit, golds, corpus, {}) == 4
 
 
 def test_transitions_counts_and_identity():
@@ -315,19 +315,19 @@ def _rank_corpus():
 def test_first_right_ranks_any_and_human():
     corpus = _rank_corpus()
     lst = _ranked("q", ["h-none", "g-right", "g-wrong", "h-first"])
-    assert first_right_ranks(lst, ["Paris"], corpus) == (2, 4)
+    assert first_right_ranks(lst, ["Paris"], corpus, {}) == (2, 4)
 
 
 def test_first_right_ranks_generated_only():
     corpus = _rank_corpus()
     lst = _ranked("q", ["h-none", "g-right"])
-    assert first_right_ranks(lst, ["Paris"], corpus) == (2, None)
+    assert first_right_ranks(lst, ["Paris"], corpus, {}) == (2, None)
 
 
 def test_first_right_ranks_none():
     corpus = _rank_corpus()
     lst = _ranked("q", ["h-none", "g-wrong"])
-    assert first_right_ranks(lst, ["Paris"], corpus) == (None, None)
+    assert first_right_ranks(lst, ["Paris"], corpus, {}) == (None, None)
 
 
 def test_containment_memo_is_filled_and_then_read():
@@ -352,7 +352,7 @@ def test_first_right_any_never_exceeds_human():
     for _ in range(100):
         sample = rng.sample(ids, rng.randint(1, 4))
         first_any, first_human = first_right_ranks(_ranked("q", sample),
-                                                   ["Paris"], corpus)
+                                                   ["Paris"], corpus, {})
         if first_any is not None and first_human is not None:
             assert first_any <= first_human
 

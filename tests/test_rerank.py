@@ -39,7 +39,8 @@ def test_lexical_overlap_empty_query():
 def test_rerank_orders_by_overlap():
     texts = {"A": "paris is the capital of france", "B": "banana"}
     out = rerank(LexicalOverlapBackend(), "capital of france",
-                 _candidates(["B", "A"]), depth=10, corpus=_corpus(texts))
+                 _candidates(["B", "A"]), depth=10, corpus=_corpus(texts),
+                 scores={})
     assert out.ranked.doc_ids() == ["A", "B"]
     assert [e.rank for e in out.ranked.entries] == [1, 2]
 
@@ -48,7 +49,7 @@ def test_rerank_depth_clamps_to_candidates():
     ids = [f"d{i}" for i in range(40)]
     texts = {d: f"text {d}" for d in ids}
     out = rerank(LexicalOverlapBackend(), "unrelated query",
-                 _candidates(ids), depth=100, corpus=_corpus(texts))
+                 _candidates(ids), depth=100, corpus=_corpus(texts), scores={})
     assert len(out.ranked.entries) == 40
 
 
@@ -56,7 +57,7 @@ def test_rerank_equal_scores_keep_original_order():
     ids = ["d1", "d2", "d3"]
     texts = {d: "same text" for d in ids}
     out = rerank(LexicalOverlapBackend(), "same text",
-                 _candidates(ids), depth=3, corpus=_corpus(texts))
+                 _candidates(ids), depth=3, corpus=_corpus(texts), scores={})
     assert out.ranked.doc_ids() == ids
 
 
@@ -65,7 +66,7 @@ def test_rerank_tail_beyond_depth_untouched():
     texts = {"low": "nothing here", "high": "query words match",
              "tail1": "query words match", "tail2": "query words match"}
     out = rerank(LexicalOverlapBackend(), "query words match",
-                 _candidates(ids), depth=2, corpus=_corpus(texts))
+                 _candidates(ids), depth=2, corpus=_corpus(texts), scores={})
     assert out.ranked.doc_ids() == ["high", "low", "tail1", "tail2"]
 
 
@@ -73,14 +74,14 @@ def test_rerank_is_permutation():
     ids = [f"d{i}" for i in range(15)]
     texts = {d: f"words {i} overlap query" for i, d in enumerate(ids)}
     out = rerank(LexicalOverlapBackend(), "overlap query",
-                 _candidates(ids), depth=7, corpus=_corpus(texts))
+                 _candidates(ids), depth=7, corpus=_corpus(texts), scores={})
     assert sorted(out.ranked.doc_ids()) == sorted(ids)
 
 
 def test_rerank_depth_zero_rejected():
     with pytest.raises(ValueError):
         rerank(LexicalOverlapBackend(), "q", _candidates(["a"]), depth=0,
-               corpus=_corpus({"a": "t"}))
+               corpus=_corpus({"a": "t"}), scores={})
 
 
 def test_remote_scorer_roundtrip(stub_server):
@@ -124,7 +125,7 @@ def test_rerank_failure_abort_policy(stub_server):
         Endpoint(stub_server.url("/score"), retries=1, backoff=0.01))
     with pytest.raises(RemoteServiceError):
         rerank(backend, "q", _candidates(["a", "b"]), depth=2,
-               corpus=_corpus({"a": "x", "b": "y"}))
+               corpus=_corpus({"a": "x", "b": "y"}), scores={})
 
 
 def test_rerank_failure_pass_through_policy(stub_server):
@@ -134,7 +135,7 @@ def test_rerank_failure_pass_through_policy(stub_server):
     candidates = _candidates(["a", "b"])
     out = rerank(backend, "q", candidates, depth=2,
                  corpus=_corpus({"a": "x", "b": "y"}),
-                 failure_policy=FAILURE_PASS_THROUGH)
+                 failure_policy=FAILURE_PASS_THROUGH, scores={})
     assert out.passed_through
     assert out.ranked.doc_ids() == ["a", "b"]
 
@@ -152,10 +153,10 @@ def test_unreadable_scores_fall_under_the_failure_policy(stub_server, body,
     if policy == FAILURE_ABORT:
         with pytest.raises(RemoteServiceError, match="malformed scores"):
             rerank(backend, "q", candidates, depth=2, corpus=corpus,
-                   failure_policy=policy)
+                   failure_policy=policy, scores={})
     else:
         out = rerank(backend, "q", candidates, depth=2, corpus=corpus,
-                     failure_policy=policy)
+                     failure_policy=policy, scores={})
         assert out.passed_through and out.ranked is candidates
     assert len(stub_server.requests) == 1
 
@@ -172,7 +173,7 @@ def test_lexical_overlap_same_scores_from_tokens_and_text():
         from_tokens = backend.score(query, [corpus.tokens(d) for d in texts])
         assert from_tokens == from_text
     out = rerank(backend, "capital of france", _candidates(list(texts)),
-                 depth=4, corpus=corpus)
+                 depth=4, corpus=corpus, scores={})
     assert [e.score for e in out.ranked.entries] == sorted(
         backend.score("capital of france", list(texts.values())), reverse=True)
 
@@ -204,7 +205,7 @@ def test_rerank_with_stored_scores_matches_a_fresh_rerank(tmp_path):
     corpus, searches = _recorded_searches(tmp_path)
     for question, candidates in searches:
         fresh = rerank(LexicalOverlapBackend(), question, candidates,
-                       depth=40, corpus=corpus)
+                       depth=40, corpus=corpus, scores={})
         full: dict[str, float] = {}
         assert rerank(LexicalOverlapBackend(), question, candidates, depth=40,
                       corpus=corpus, scores=full) == fresh
