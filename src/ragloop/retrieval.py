@@ -201,24 +201,19 @@ class InvertedIndex(_DocIds):
         df = len(self.postings[term][0]) if term in self.postings else 0
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
-    def search(self, query: str, k: int) -> list[tuple[str, float]]:
-        """Top-k (doc_id, BM25 score), ties broken by doc_id ascending.
-
-        Zero-scoring documents are never returned, so fewer than k results
-        are possible.
-        """
-        return self.search_all([query], k)[0]
-
     def search_all(self, queries: Sequence[str],
                    k: int) -> list[list[tuple[str, float]]]:
-        """`search` of each query, in order, scored in blocks of queries.
+        """Each query's top-k (doc_id, BM25 score), in query order, ties
+        broken by doc_id ascending. Zero-scoring documents are never
+        returned, so fewer than k results are possible.
 
-        A block computes each of its distinct terms' weights once, as a
-        dense row over all documents, and forms each query's scores by
-        adding those rows in the query's term order, a repeated term as
-        often as it occurs. Adding 0.0 is exact, so every score equals the
-        sum of that term's weights taken in that order. A block's rows hold
-        at most `_BLOCK_ELEMENTS` floats, unless one query alone needs more.
+        Queries are scored in blocks. A block computes each of its distinct
+        terms' weights once, as a dense row over all documents, and forms
+        each query's scores by adding those rows in the query's term order,
+        a repeated term as often as it occurs. Adding 0.0 is exact, so every
+        score equals the sum of that term's weights taken in that order. A
+        block's rows hold at most `_BLOCK_ELEMENTS` floats, unless one query
+        alone needs more.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -340,17 +335,31 @@ class RemoteEmbeddingClient:
 class VectorIndex(_DocIds):
     """Exact brute-force cosine-similarity index.
 
-    Built by `add_vectors`, read by `search_vector`: `add_vectors` grows the
-    one float64 `matrix`, a row per document in insertion order, and sets
-    its row norms and the doc_id ranks. Searches may run concurrently with
-    each other, never with an addition, as with InvertedIndex.
+    Built by `add_vectors`, read by `search_vector`: `add_vectors` writes
+    each document's float64 row, in insertion order, into one buffer with
+    rows to spare, appends those rows' norms and sets the doc_id ranks. A
+    commit writes only its own rows and takes only their norms, so it
+    copies no row already indexed. A search is still one `matrix @ query`
+    over contiguous rows and each norm its own row's reduction, so every
+    score equals that of an index built in one addition.
+
+    `reserve` sizes the buffer, in rows, at the first addition. A commit
+    that needs more rows than the buffer holds moves the rows to one half
+    as large again, or as large as the commit needs. Size `reserve` to the
+    rows the index will hold, not above: from 4 MB numpy asks for huge
+    pages, so spare rows there can cost memory before they are written.
+    `matrix` is a view of the filled rows: a later addition can leave a
+    view taken before it stale. Searches may run concurrently with each
+    other, never with an addition, as with InvertedIndex.
     """
 
-    def __init__(self):
+    def __init__(self, reserve: int = 0):
         super().__init__()
         self.dim: int | None = None
         self.matrix = np.zeros((0, 0))
         self._norms = np.zeros(0)
+        self._reserve = reserve
+        self._rows = self.matrix
 
     def add_vectors(self, items: list[tuple[str, np.ndarray]]) -> None:
         """Index `items`; a rejected batch changes nothing."""
@@ -371,9 +380,19 @@ class VectorIndex(_DocIds):
         if not items:
             return
         self.dim = dim
-        self.matrix = np.vstack([self.matrix, *rows] if self.doc_ids else rows)
+        start, stop = self.doc_count, self.doc_count + len(rows)
+        if stop > len(self._rows):
+            grown = np.empty((max(stop, self._reserve, len(self._rows) * 3 // 2),
+                              dim), dtype=np.float64)
+            if start:
+                grown[:start] = self.matrix
+            self._rows = grown
+        for row, vec in enumerate(rows, start=start):
+            self._rows[row] = vec
+        self.matrix = self._rows[:stop]
         self._append_ids(ids)
-        self._norms = np.linalg.norm(self.matrix, axis=1)
+        self._norms = np.concatenate(
+            (self._norms, np.linalg.norm(self.matrix[start:], axis=1)))
 
     def add_documents(self, docs: list[Document], embedder) -> None:
         # an empty commit must not cost a (remote) embeddings request

@@ -168,7 +168,11 @@ class ExperimentRunner:
         self.embedder = config.build_embedder() if config.uses_dense else None
         seed_docs = list(self.corpus.iter_documents())
         if config.uses_dense:
-            self.index = VectorIndex()
+            # the injection and every iteration commit at most one document
+            # per (query, generator): the buffer holds the run's bound
+            self.index = VectorIndex(reserve=len(seed_docs) + len(self.queries)
+                                     * len(config.generators)
+                                     * (config.iterations + 1))
             self.index.add_documents(seed_docs, self.embedder)
         else:
             # one seed document's tokens at a time: the corpus tokenizes a

@@ -79,7 +79,8 @@ def test_criterion_01_incremental_index_equals_rebuild():
     identical = True
     for _ in range(50):
         query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
-        if incremental.search(query, 100) != rebuilt.search(query, 100):
+        if (incremental.search_all([query], 100)[0]
+                != rebuilt.search_all([query], 100)[0]):
             identical = False
             break
     elapsed = time.monotonic() - start
@@ -92,7 +93,7 @@ def test_criterion_02_bm25_hand_value():
     index = InvertedIndex()
     index.add([human_doc("d1", "apple banana"),
                human_doc("d2", "banana cherry")])
-    results = index.search("apple", 2)
+    results = index.search_all(["apple"], 2)[0]
     expected = math.log(2) / 2.2
     ok = (len(results) == 1 and results[0][0] == "d1"
           and abs(results[0][1] - expected) < 1e-9)

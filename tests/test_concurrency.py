@@ -72,8 +72,8 @@ def test_bm25_searches_racing_after_add_match_serial():
     queries = [" ".join(rng.sample(VOCAB, 3)) for _ in range(THREADS)]
     for r in range(ROUNDS):
         index.add(_docs(rng, r * 40, 40))
-        raced = _race([lambda q=q: index.search(q, 10) for q in queries])
-        assert raced == [index.search(q, 10) for q in queries]
+        raced = _race([lambda q=q: index.search_all([q], 10)[0] for q in queries])
+        assert raced == [index.search_all([q], 10)[0] for q in queries]
 
 
 def test_first_token_reads_racing_match_tokenize():

@@ -1022,7 +1022,7 @@ def test_bm25_search_matches_full_sort_with_ties_and_incremental_adds():
             for k in (1, 3, 10, 40, added, added + 5):
                 # the first search after an add fills the caches; a stale
                 # length normalisation would change every score
-                assert _bits(index.search(query, k)) == \
+                assert _bits(index.search_all([query], k)[0]) == \
                     _bits(oracle_bm25_search(index, query, k)), (batch, query, k)
 
 
@@ -1031,7 +1031,7 @@ def test_bm25_search_matches_full_sort_on_recorded_index(recorded_run):
     assert runner.index.doc_count > 120
     for query in runner.queries:
         for k in (1, 5, 12, 100, runner.index.doc_count):
-            assert _bits(runner.index.search(query.question, k)) == \
+            assert _bits(runner.index.search_all([query.question], k)[0]) == \
                 _bits(oracle_bm25_search(runner.index, query.question, k))
 
 

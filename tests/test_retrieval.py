@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ def _two_doc_index():
 def test_bm25_hand_value():
     # N=2, df=1, tf=1, dl=avgdl=2: idf=ln(2), denom=1+1.2*(0.25+0.75)=2.2
     index = _two_doc_index()
-    results = index.search("apple", 2)
+    results = index.search_all(["apple"], 2)[0]
     assert len(results) == 1
     doc_id, score = results[0]
     assert doc_id == "d1"
@@ -47,7 +49,7 @@ def test_bm25_hand_value():
 
 def test_bm25_absent_term_gives_empty_list():
     index = _two_doc_index()
-    assert index.search("durian", 5) == []
+    assert index.search_all(["durian"], 5)[0] == []
 
 
 def test_bm25_empty_query_gives_empty_list():
@@ -59,14 +61,14 @@ def test_bm25_empty_query_gives_empty_list():
 def test_bm25_tie_break_by_doc_id():
     index = InvertedIndex()
     index.add([human_doc("d_b", "apple pie"), human_doc("d_a", "apple pie")])
-    results = index.search("apple", 2)
+    results = index.search_all(["apple"], 2)[0]
     assert [doc_id for doc_id, _ in results] == ["d_a", "d_b"]
     assert results[0][1] == results[1][1]
 
 
 def test_bm25_k_below_one_rejected():
     with pytest.raises(ValueError):
-        _two_doc_index().search("apple", 0)
+        _two_doc_index().search_all(["apple"], 0)
 
 
 def _assert_ranked(ranked):
@@ -94,7 +96,7 @@ def test_bm25_score_monotone_in_tf():
             human_doc("d3", "apple pad pad pad")]
     index = InvertedIndex()
     index.add(docs)
-    scores = dict(index.search("apple", 3))
+    scores = dict(index.search_all(["apple"], 3)[0])
     assert scores["d1"] >= scores["d2"] >= scores["d3"]
 
 
@@ -144,8 +146,8 @@ def test_incremental_equals_rebuild_bit_identical():
     rebuilt.add(docs)
     for _ in range(20):
         query = " ".join(rng.choice(vocab) for _ in range(3))
-        a = incremental.search(query, 100)
-        b = rebuilt.search(query, 100)
+        a = incremental.search_all([query], 100)[0]
+        b = rebuilt.search_all([query], 100)[0]
         assert a == b  # ids, exact float scores, and order
 
 
@@ -182,7 +184,7 @@ def test_index_add_rejects_a_bad_batch_whole(batch):
         index.add([human_doc(doc_id, "apple tart") for doc_id in batch])
     assert index.doc_ids == ["d1"] and index.doc_lengths == [2]
     assert [len(idxs) for idxs, _ in index.postings.values()] == [1, 1]
-    assert [doc_id for doc_id, _ in index.search("apple", 10)] == ["d1"]
+    assert [doc_id for doc_id, _ in index.search_all(["apple"], 10)[0]] == ["d1"]
 
 
 def test_index_add_of_given_tokens_equals_add_of_texts():
@@ -198,7 +200,8 @@ def test_index_add_of_given_tokens_equals_add_of_texts():
     for term, (idxs, tfs) in texts.postings.items():
         assert all(np.array_equal(a, b) and a.dtype == b.dtype
                    for a, b in zip(given.postings[term], (idxs, tfs)))
-    assert given.search("w1 w2 w3", 60) == texts.search("w1 w2 w3", 60)
+    assert given.search_all(["w1 w2 w3"], 60)[0] == \
+        texts.search_all(["w1 w2 w3"], 60)[0]
 
 
 def test_index_add_rejects_a_token_count_mismatch_whole():
@@ -249,20 +252,68 @@ def test_dense_dimension_mismatch_rejected():
         vindex.search_vector(np.array([1.0]), 1)
 
 
+def _hex(pairs):
+    # float.hex tells 0.0 from -0.0, which == does not
+    return [(doc_id, score.hex()) for doc_id, score in pairs]
+
+
 def test_vector_matrix_and_norms_equal_rebuild():
+    # (dim, documents, reserved rows, commit boundaries): an empty commit,
+    # growth from no reservation, a commit that fills the reservation
+    # exactly, one that outgrows it, and a 256-wide index past 4 MB, from
+    # where numpy asks for huge pages
+    cases = [(12, 90, 0, [0, 0, 1, 30, 30, 31, 90]),
+             (12, 90, 90, [0, 1, 30, 90]),
+             (12, 90, 40, [0, 30, 41, 41, 90]),
+             (256, 2200, 2100, [0, 1200, 1248, 2100, 2101, 2200])]
     rng = np.random.default_rng(7)
-    items = [(f"v{i:03d}", rng.normal(size=12)) for i in range(90)]
-    incremental = VectorIndex()
-    for start, stop in [(0, 1), (1, 30), (30, 31), (31, 90)]:
-        incremental.add_vectors(items[start:stop])
-    rebuilt = VectorIndex()
-    rebuilt.add_vectors(items)
-    assert incremental.matrix.dtype == rebuilt.matrix.dtype == np.float64
-    assert incremental.matrix.shape == (90, 12)
-    assert np.array_equal(incremental.matrix, rebuilt.matrix)
-    assert np.array_equal(incremental.matrix, np.vstack([v for _, v in items]))
-    assert incremental._norms.tobytes() == rebuilt._norms.tobytes()
-    assert incremental._id_rank.tobytes() == rebuilt._id_rank.tobytes()
+    for dim, n, reserve, bounds in cases:
+        items = [(f"v{i:04d}", rng.normal(size=dim)) for i in range(n)]
+        # two rows equal to others and a zero row, so scores tie and a
+        # zero norm is taken
+        items[5] = ("v0005", items[3][1].copy())
+        items[-1] = (items[-1][0], items[0][1].copy())
+        items[7] = ("v0007", np.zeros(dim))
+        rng.shuffle(items)
+        incremental = VectorIndex(reserve=reserve)
+        for start, stop in zip(bounds, bounds[1:]):
+            incremental.add_vectors(items[start:stop])
+        rebuilt = VectorIndex()
+        rebuilt.add_vectors(items)
+        # the same search over a fresh contiguous copy of the rows, not a
+        # view into a larger buffer
+        copied = copy.copy(incremental)
+        copied.matrix = np.array(incremental.matrix)
+        copied._norms = np.linalg.norm(copied.matrix, axis=1)
+        assert incremental.matrix.dtype == rebuilt.matrix.dtype == np.float64
+        assert incremental.matrix.shape == (n, dim)
+        assert incremental.matrix.tobytes() == rebuilt.matrix.tobytes() == \
+            np.vstack([v for _, v in items]).tobytes()
+        assert incremental._norms.tobytes() == rebuilt._norms.tobytes() == \
+            copied._norms.tobytes()
+        assert incremental._id_rank.tobytes() == rebuilt._id_rank.tobytes()
+        for query in (rng.normal(size=dim), items[3][1], np.zeros(dim)):
+            for k in (1, 10, n):
+                found = _hex(incremental.search_vector(query, k))
+                assert found == _hex(rebuilt.search_vector(query, k)) == \
+                    _hex(copied.search_vector(query, k)), (dim, bounds, k)
+
+
+def test_vector_commit_into_spare_rows_copies_no_indexed_row():
+    # tracemalloc sees numpy's data buffers: copying the 1,200 x 256 rows
+    # already indexed would allocate 2.4 MB
+    rng = np.random.default_rng(11)
+    vindex = VectorIndex(reserve=1300)
+    vindex.add_vectors([(f"s{i:04d}", rng.normal(size=256)) for i in range(1200)])
+    batch = [(f"g{i:02d}", rng.normal(size=256)) for i in range(48)]
+    tracemalloc.start()
+    try:
+        vindex.add_vectors(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vindex.doc_count == 1248
+    assert peak < 0.5 * 2**20, f"{peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("batch, match", [
